@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -27,15 +27,17 @@ def _parse_config(text: str) -> CriticalityConfig:
 
 
 def _load_grid(spec: str) -> sweep.ConfigGrid:
+    """The default grid, or one read from a JSON file; errors name the JSON path."""
     if spec == "default":
         return sweep.default_grid()
-    with open(spec) as f:
-        data = json.load(f)
-    return sweep.ConfigGrid(
-        d_values=tuple(float(v) for v in data["d_values"]),
-        r_values=tuple(float(v) for v in data["r_values"]),
-        t_values=tuple(float(v) for v in data["t_values"]),
-    )
+    data = model.read_json(spec)
+    values = {}
+    for key in ("d_values", "r_values", "t_values"):
+        items = model._require(data, key, "$")
+        if not isinstance(items, list):
+            raise model.IngestError(f"$.{key}: expected a list of numbers, got {items!r}")
+        values[key] = tuple(model._finite(v, f"$.{key}[{i}]") for i, v in enumerate(items))
+    return sweep.ConfigGrid(**values)
 
 
 def _warn_unknown_frames(ingest: dict) -> None:
@@ -148,19 +150,13 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    with open(args.spec) as f:
-        data = json.load(f)
-    scenario_data = data.get("scenario", data)
-    spec = synthgen.scenario_from_dict(scenario_data)
+    data = model.read_json(args.spec)
+    if isinstance(data, dict) and "scenario" in data:
+        spec = synthgen.scenario_from_dict(data["scenario"], "$.scenario")
+    else:
+        spec = synthgen.scenario_from_dict(data)
     if args.seed is not None:
-        spec = synthgen.ScenarioSpec(
-            n_frames=spec.n_frames,
-            ego_start=spec.ego_start,
-            ego_velocity=spec.ego_velocity,
-            objects=spec.objects,
-            seed=args.seed,
-            frame_prefix=spec.frame_prefix,
-        )
+        spec = dataclasses.replace(spec, seed=args.seed)
     dataset = synthgen.gen_dataset(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -207,7 +203,7 @@ def _add_common_eval_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-range", type=float, default=metrics.DEFAULT_EVAL_RANGE,
                         help="evaluation range around ego in meters (default 50)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="parallel workers (default: CRIT_EVAL_THREADS or CPU count)")
+                        help="accepted and ignored: evaluation runs on one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -26,9 +25,8 @@ from .criticality import (
     NONFINITE_TIME_SCORE,
     CriticalityConfig,
     classify,
-    criticality_components,
 )
-from .matching import MatchResult, greedy_assign
+from .matching import greedy_assign
 from .model import (
     Dataset,
     Detection,
@@ -99,27 +97,12 @@ def weighted_pr(counts: WeightedCounts) -> tuple[float, float]:
     return p_r, r_s
 
 
-def counts_from_match(
-    match: MatchResult,
-    ego: ObjectState,
-    cfg: CriticalityConfig,
-    weight_fn: WeightFn | None = None,
-) -> WeightedCounts:
-    """Weighted counts for a single matched frame (reference path for tests)."""
-    wf = weight_fn or (lambda e, o, c: criticality_components(e, o, c).kappa)
-    return WeightedCounts(
-        sum_tp_gt=sum(wf(ego, gt, cfg) for gt, _ in match.tp),
-        sum_tp_pred=sum(wf(ego, pred, cfg) for _, pred in match.tp),
-        sum_fp_pred=sum(wf(ego, pred, cfg) for pred in match.fp),
-        sum_fn_gt=sum(wf(ego, gt, cfg) for gt in match.fn),
-        n_tp=len(match.tp),
-        n_fp=len(match.fp),
-        n_fn=len(match.fn),
-    )
-
-
 def worker_count(requested: int | None = None) -> int:
-    """Parallelism bound: explicit argument, else CRIT_EVAL_THREADS, else CPU count."""
+    """Requested worker count: explicit argument, else CRIT_EVAL_THREADS, else CPU count.
+
+    Evaluation runs on one thread whatever this returns; it only reports
+    the request.
+    """
     if requested is not None and requested > 0:
         return requested
     env = os.environ.get("CRIT_EVAL_THREADS")
@@ -133,37 +116,57 @@ def worker_count(requested: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def _kappa_array(
-    case: np.ndarray,
-    d_ego_b: np.ndarray,
-    d_ego_c: np.ndarray,
-    delta_t: np.ndarray,
-    cfg: CriticalityConfig,
-) -> np.ndarray:
-    """Vectorized combined kappa, mirroring the scalar path element for element."""
-    with np.errstate(over="ignore"):
-        kd = np.maximum(0.0, -(d_ego_b * d_ego_b) / (cfg.d_max * cfg.d_max) + 1.0)
-        kr = np.zeros_like(kd)
-        kt = np.zeros_like(kd)
-        mask = case == CASE_MISSING_VELOCITY
-        kr[mask] = 1.0
-        kt[mask] = 1.0
-        mask = case == CASE_NONFINITE_TIME
-        if mask.any():
-            doc = d_ego_c[mask]
-            kr[mask] = np.where(
-                np.isfinite(doc),
-                np.maximum(0.0, -(doc * doc) / (cfg.r_max * cfg.r_max) + 1.0),
-                NONFINITE_TIME_SCORE,
-            )
-            kt[mask] = NONFINITE_TIME_SCORE
-        mask = case == CASE_TRACKED
-        if mask.any():
-            doc = d_ego_c[mask]
-            dts = delta_t[mask]
-            kr[mask] = np.maximum(0.0, -(doc * doc) / (cfg.r_max * cfg.r_max) + 1.0)
-            kt[mask] = np.maximum(0.0, -(dts * dts) / (cfg.t_max * cfg.t_max) + 1.0)
-        return 1.0 - (1.0 - kd) * (1.0 - kr) * (1.0 - kt)
+class _ScoreTerms:
+    """Cap-independent parts of the component scores of a set of objects.
+
+    Each score is ``max(0, -x**2 / cap**2 + 1)`` or a case's fixed value, so
+    keeping ``-x**2`` per object leaves one pass per cap value, with the
+    same operations in the same order as ``weights_from_class``.
+    """
+
+    def __init__(self, rows: Sequence[tuple], refs: list[tuple[ObjectState, ObjectState]]):
+        self.refs = refs
+        case = np.array([r[0] for r in rows], dtype=np.int64)
+        d_b, d_c, d_t = (np.array([r[k] for r in rows], dtype=np.float64) for k in (1, 2, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._neg_sq_b = -(d_b * d_b)
+            self._neg_sq_c = -(d_c * d_c)
+            self._neg_sq_t = -(d_t * d_t)
+        nonfinite = case == CASE_NONFINITE_TIME
+        self._scored_t = case == CASE_TRACKED
+        self._scored_r = self._scored_t | (nonfinite & np.isfinite(d_c))
+        # kappa_r and kappa_t where they are not scored from the geometry.
+        self._fixed = np.where(
+            case == CASE_MISSING_VELOCITY, 1.0, np.where(nonfinite, NONFINITE_TIME_SCORE, 0.0)
+        )
+
+    def _complement(self, neg_sq: np.ndarray, cap, scored: np.ndarray | None, out=None):
+        """``1 - score`` per object (one row per cap if ``cap`` is a column)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            score = np.divide(neg_sq, cap * cap, out=out)
+            score += 1.0
+            np.maximum(score, 0.0, out=score)
+        if scored is not None:
+            np.copyto(score, self._fixed, where=~scored)
+        return np.subtract(1.0, score, out=score)
+
+    def kappa_rows(self, d_max: float, r_max: float, t_values: np.ndarray, out: np.ndarray) -> None:
+        """Write ``1 - (1-kd)(1-kr)(1-kt)`` for each t_max into a row of ``out``."""
+        not_dr = self._complement(self._neg_sq_b, d_max, None)
+        not_dr *= self._complement(self._neg_sq_c, r_max, self._scored_r)
+        self._complement(self._neg_sq_t, t_values[:, None], self._scored_t, out=out)
+        out *= not_dr
+        np.subtract(1.0, out, out=out)
+
+
+def _running_sums(padded: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Row-wise running sums after ``counts[g]`` entries; column 0 must be zero.
+
+    The cumulative sum runs in place. Skipping the other class's entries
+    leaves each sum as it would be with zeros in their places.
+    """
+    np.cumsum(padded, axis=1, out=padded)
+    return padded[:, counts]
 
 
 class CurveAccumulator:
@@ -171,8 +174,7 @@ class CurveAccumulator:
 
     Frames are processed in sorted frame_id order and predictions kept in a
     fixed global order (descending confidence, then frame_id, then within-
-    frame rank), so repeated evaluations are bit-reproducible regardless of
-    how callers parallelize.
+    frame rank), so repeated evaluations are bit-reproducible.
     """
 
     def __init__(
@@ -202,101 +204,95 @@ class CurveAccumulator:
                 gt_refs.append((sub.ego, gt))
             assignment = greedy_assign(sub.ground_truth, dets, distance_limit)
             for rank, (det, j) in enumerate(assignment):
-                entries.append(
-                    (
-                        det.confidence,
-                        sub.frame_id,
-                        rank,
-                        classify(sub.ego, det.state),
-                        base + j if j is not None else -1,
-                        sub.ego,
-                        det.state,
-                    )
-                )
+                gt_index = base + j if j is not None else -1
+                entries.append((det.confidence, sub.frame_id, rank,
+                                classify(sub.ego, det.state), gt_index, (sub.ego, det.state)))
         entries.sort(key=lambda e: (-e[0], e[1], e[2]))
+        tp = [e for e in entries if e[4] >= 0]
+        fp = [e for e in entries if e[4] < 0]
 
         self.n_gt = len(gt_rows)
-        self._gt_refs = gt_refs
-        self._gt_case = np.array([r[0] for r in gt_rows], dtype=np.int64)
-        self._gt_d_ego_b = np.array([r[1] for r in gt_rows], dtype=np.float64)
-        self._gt_d_ego_c = np.array([r[2] for r in gt_rows], dtype=np.float64)
-        self._gt_delta_t = np.array([r[3] for r in gt_rows], dtype=np.float64)
-
-        self._pred_refs = [(e[5], e[6]) for e in entries]
+        self._gt = _ScoreTerms(gt_rows, gt_refs)
+        # Predictions split into true and false positives, each in global order.
+        self._tp = _ScoreTerms([e[3] for e in tp], [e[5] for e in tp])
+        self._fp = _ScoreTerms([e[3] for e in fp], [e[5] for e in fp])
+        self._tp_gt = np.array([e[4] for e in tp], dtype=np.int64)
         self._conf = np.array([e[0] for e in entries], dtype=np.float64)
-        self._pred_case = np.array([e[3][0] for e in entries], dtype=np.int64)
-        self._pred_d_ego_b = np.array([e[3][1] for e in entries], dtype=np.float64)
-        self._pred_d_ego_c = np.array([e[3][2] for e in entries], dtype=np.float64)
-        self._pred_delta_t = np.array([e[3][3] for e in entries], dtype=np.float64)
-        self._pred_gt = np.array([e[4] for e in entries], dtype=np.int64)
-        self._is_tp = self._pred_gt >= 0
+        self._tp_seen = np.cumsum([e[4] >= 0 for e in entries], dtype=np.int64)
         if len(self._conf):
             boundaries = np.flatnonzero(np.diff(self._conf) != 0.0)
-            self._group_ends = np.append(boundaries, len(self._conf) - 1)
+            ends = np.append(boundaries, len(self._conf) - 1)
         else:
-            self._group_ends = np.array([], dtype=np.int64)
+            ends = np.array([], dtype=np.int64)
+        self._tp_at_end = self._tp_seen[ends]
+        self._fp_at_end = ends + 1 - self._tp_at_end
+        cum_tp = self._tp_at_end.astype(np.float64)
+        self._classic = (
+            self._conf[ends],
+            cum_tp / (ends + 1).astype(np.float64),
+            cum_tp / self.n_gt if self.n_gt else np.ones_like(cum_tp),
+        )
+        for array in self._classic:
+            array.flags.writeable = False
 
-    def _weights(
-        self, cfg: CriticalityConfig, weight_fn: WeightFn | None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _kappa(self, terms: _ScoreTerms, cfg: CriticalityConfig, t_values: np.ndarray,
+               weight_fn: WeightFn | None, pad: int = 0) -> np.ndarray:
+        """Kappa of each object for each t_max, one row per t_max, after ``pad`` zero columns."""
+        out = np.zeros((len(t_values), pad + len(terms.refs)))
         if weight_fn is None:
-            kgt = _kappa_array(
-                self._gt_case, self._gt_d_ego_b, self._gt_d_ego_c, self._gt_delta_t, cfg
-            )
-            kpred = _kappa_array(
-                self._pred_case, self._pred_d_ego_b, self._pred_d_ego_c, self._pred_delta_t, cfg
-            )
-            return kgt, kpred
-        kgt = np.array([weight_fn(ego, st, cfg) for ego, st in self._gt_refs], dtype=np.float64)
-        kpred = np.array([weight_fn(ego, st, cfg) for ego, st in self._pred_refs], dtype=np.float64)
-        return kgt, kpred
+            terms.kappa_rows(cfg.d_max, cfg.r_max, t_values, out[:, pad:])
+        else:
+            for row, t_max in zip(out, t_values):
+                row_cfg = CriticalityConfig(cfg.d_max, cfg.r_max, float(t_max))
+                row[pad:] = [weight_fn(ego, st, row_cfg) for ego, st in terms.refs]
+        return out
 
     def curve_arrays(
-        self, cfg: CriticalityConfig, weight_fn: WeightFn | None = None
+        self,
+        cfg: CriticalityConfig,
+        weight_fn: WeightFn | None = None,
+        t_values: Sequence[float] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(threshold, precision, recall, p_r, r_s) arrays, highest threshold first.
 
-        Empty when there are no detections. The safety-weighted recall
-        denominator is the total ground-truth weight, which does not depend
-        on the threshold, so the recall side is exactly nonincreasing as
-        the threshold rises. Allocation-free per configuration apart from
-        the arrays themselves, which keeps 1000+-configuration sweeps cheap.
+        ``p_r`` and ``r_s`` are 1-D for ``cfg``. With ``t_values`` they have
+        one row per value, for ``cfg`` with that ``t_max``: the cap-separable
+        component scores are computed once for the whole batch. Every row
+        equals the 1-row result bit for bit. The classic arrays are shared
+        and read-only. All are empty when there are no detections.
+
+        The safety-weighted recall denominator is the total ground-truth
+        weight, which does not depend on the threshold, so the recall side
+        is exactly nonincreasing as the threshold rises.
         """
-        kgt, kpred = self._weights(cfg, weight_fn)
-        total_gt_weight = float(np.sum(kgt))
-        n_gt = self.n_gt
-        if len(self._conf) == 0:
-            empty = np.array([], dtype=np.float64)
-            return empty, empty, empty, empty, empty
-
-        if n_gt:
-            tp_gt_weight = np.where(self._is_tp, kgt[np.maximum(self._pred_gt, 0)], 0.0)
-        else:
-            tp_gt_weight = np.zeros(len(self._conf))
-        ends = self._group_ends
-        cum_tp = np.cumsum(self._is_tp.astype(np.float64))[ends]
-        cum_tp_gt = np.cumsum(tp_gt_weight)[ends]
-        cum_tp_pred = np.cumsum(np.where(self._is_tp, kpred, 0.0))[ends]
-        cum_fp_pred = np.cumsum(np.where(self._is_tp, 0.0, kpred))[ends]
-
-        n_seen = (ends + 1).astype(np.float64)
-        precision = cum_tp / n_seen
-        recall = cum_tp / n_gt if n_gt else np.ones_like(cum_tp)
-        p_den = cum_tp_pred + cum_fp_pred
+        t = np.array([cfg.t_max] if t_values is None else t_values, dtype=np.float64)
+        kgt = self._kappa(self._gt, cfg, t, weight_fn)
+        # The same pairwise sum as over a 1-D array, row by row.
+        total_gt = np.array([row.sum() for row in kgt])[:, None]
+        tp_gt = np.zeros((len(t), len(self._tp_gt) + 1))
+        tp_gt[:, 1:] = kgt[:, self._tp_gt]
+        cum_tp_gt = _running_sums(tp_gt, self._tp_at_end)
+        cum_tp_pred = _running_sums(self._kappa(self._tp, cfg, t, weight_fn, pad=1), self._tp_at_end)
+        p_den = _running_sums(self._kappa(self._fp, cfg, t, weight_fn, pad=1), self._fp_at_end)
+        p_den += cum_tp_pred
         with np.errstate(invalid="ignore", divide="ignore"):
-            p_r = np.where(p_den == 0.0, 1.0, np.minimum(1.0, cum_tp_gt / np.where(p_den == 0.0, 1.0, p_den)))
-            if total_gt_weight == 0.0:
-                r_s = np.ones_like(cum_tp_pred)
-            else:
-                r_s = np.minimum(1.0, cum_tp_pred / total_gt_weight)
-        return self._conf[ends], precision, recall, p_r, r_s
+            empty = p_den == 0.0
+            p_den[empty] = 1.0
+            p_r = np.divide(cum_tp_gt, p_den, out=cum_tp_gt)
+            np.minimum(p_r, 1.0, out=p_r)
+            p_r[empty] = 1.0
+            r_s = np.divide(cum_tp_pred, total_gt, out=cum_tp_pred)
+            np.minimum(r_s, 1.0, out=r_s)
+            r_s[total_gt[:, 0] == 0.0] = 1.0
+        if t_values is None:
+            p_r, r_s = p_r[0], r_s[0]
+        return (*self._classic, p_r, r_s)
 
     def curve(self, cfg: CriticalityConfig, weight_fn: WeightFn | None = None) -> list[CurvePoint]:
         """One operating point per distinct confidence, highest threshold first."""
         thresholds, precision, recall, p_r, r_s = self.curve_arrays(cfg, weight_fn)
         if len(thresholds) == 0:
-            kgt, _ = self._weights(cfg, weight_fn)
-            counts = WeightedCounts(0.0, 0.0, 0.0, float(np.sum(kgt)), 0, 0, self.n_gt)
+            counts = self.counts_at(1.0, cfg, weight_fn)
             p, r = classic_pr(counts)
             pr, rs = weighted_pr(counts)
             return [CurvePoint(1.0, p, r, pr, rs)]
@@ -306,27 +302,22 @@ class CurveAccumulator:
         ]
 
     def counts_at(
-        self,
-        threshold: float,
-        cfg: CriticalityConfig,
-        weight_fn: WeightFn | None = None,
+        self, threshold: float, cfg: CriticalityConfig, weight_fn: WeightFn | None = None
     ) -> WeightedCounts:
         """Dataset-global weighted counts for one confidence threshold."""
-        kgt, kpred = self._weights(cfg, weight_fn)
-        keep = self._conf >= threshold
-        is_tp = self._is_tp & keep
-        matched = self._pred_gt[is_tp]
-        sum_tp_gt = float(np.sum(kgt[matched])) if len(matched) else 0.0
+        t = np.array([cfg.t_max])
+        kgt, ktp, kfp = (self._kappa(terms, cfg, t, weight_fn)[0]
+                         for terms in (self._gt, self._tp, self._fp))
+        # Confidences descend, so the kept predictions are a prefix.
+        kept = int(np.count_nonzero(self._conf >= threshold))
+        n_tp = int(self._tp_seen[kept - 1]) if kept else 0
+        matched = self._tp_gt[:n_tp]
         fn_mask = np.ones(self.n_gt, dtype=bool)
         fn_mask[matched] = False
         return WeightedCounts(
-            sum_tp_gt=sum_tp_gt,
-            sum_tp_pred=float(np.sum(kpred[is_tp])),
-            sum_fp_pred=float(np.sum(kpred[keep & ~self._is_tp])),
-            sum_fn_gt=float(np.sum(kgt[fn_mask])) if self.n_gt else 0.0,
-            n_tp=int(np.count_nonzero(is_tp)),
-            n_fp=int(np.count_nonzero(keep & ~self._is_tp)),
-            n_fn=int(np.count_nonzero(fn_mask)),
+            float(np.sum(kgt[matched])), float(np.sum(ktp[:n_tp])),
+            float(np.sum(kfp[:kept - n_tp])), float(np.sum(kgt[fn_mask])),
+            n_tp, kept - n_tp, int(np.count_nonzero(fn_mask)),
         )
 
 
@@ -497,24 +488,25 @@ def evaluate_detector(
     max_range: float = DEFAULT_EVAL_RANGE,
     workers: int | None = None,
 ) -> EvaluationReport:
-    """Full per-class evaluation of one detector across distance limits."""
+    """Full per-class evaluation of one detector across distance limits.
+
+    Runs on one thread; ``workers`` is accepted for compatibility and ignored.
+    """
     detections = list(detections)
     ap_fn = ap_function(ap_style)
-
-    def one(distance_limit: float) -> LimitResult:
+    results = []
+    for distance_limit in dist_limits:
         curve = build_curve(dataset, detections, class_name, distance_limit, cfg,
                             max_range=max_range)
-        return LimitResult(
-            distance_limit=distance_limit,
-            ap=ap_fn(curve, False),
-            ap_crit=ap_fn(curve, True),
-            curve=curve,
-            resampled=resample_curve(curve),
+        results.append(
+            LimitResult(
+                distance_limit=distance_limit,
+                ap=ap_fn(curve, False),
+                ap_crit=ap_fn(curve, True),
+                curve=curve,
+                resampled=resample_curve(curve),
+            )
         )
-
-    n_workers = min(worker_count(workers), max(1, len(dist_limits)))
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        results = list(pool.map(one, dist_limits))
     return EvaluationReport(
         class_name=class_name,
         config=cfg,

@@ -210,14 +210,18 @@ def dataset_from_dict(data: Any) -> Dataset:
     return Dataset(frames=frames, meta=dict(meta))
 
 
-def load_ground_truth(path: str | Path) -> Dataset:
-    """Load and validate a ground-truth JSON file."""
+def read_json(path: str | Path) -> Any:
+    """Parse a JSON file; malformed JSON is an IngestError naming the file."""
     with open(path) as f:
         try:
-            data = json.load(f)
+            return json.load(f)
         except json.JSONDecodeError as e:
             raise IngestError(f"{path}: malformed JSON ({e})") from None
-    return dataset_from_dict(data)
+
+
+def load_ground_truth(path: str | Path) -> Dataset:
+    """Load and validate a ground-truth JSON file."""
+    return dataset_from_dict(read_json(path))
 
 
 def detections_from_dict(data: Any) -> list[Detection]:
@@ -257,12 +261,7 @@ def detections_from_dict(data: Any) -> list[Detection]:
 
 def load_detections(path: str | Path) -> list[Detection]:
     """Load and validate a detection-results JSON file."""
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as e:
-            raise IngestError(f"{path}: malformed JSON ({e})") from None
-    return detections_from_dict(data)
+    return detections_from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------

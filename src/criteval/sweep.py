@@ -2,22 +2,23 @@
 
 A sweep evaluates every detector at every (distance limit, criticality
 configuration) cell. Matching and geometry are cached per (detector,
-limit); only the parabola caps change across configurations, and the
-classic AP is hoisted out of the configuration loop entirely since it
-never depends on the weights.
+limit); only the parabola caps change across configurations, so the
+weights of a whole (d_max, r_max) slice of t_max values come from one
+batched call. The classic AP is hoisted out of the configuration loop
+entirely since it never depends on the weights.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from .criticality import CriticalityConfig
-from .metrics import CurveAccumulator, ap_from_arrays, worker_count
-from .model import Dataset, Detection
+from .metrics import CurveAccumulator, ap_from_arrays
+from .model import Dataset, Detection, IngestError
 
 SWEEP_CSV_HEADER = ["detector", "class", "l", "d_max", "r_max", "t_max", "ap", "ap_crit"]
 
@@ -36,8 +37,8 @@ class ConfigGrid:
         ):
             if not values:
                 raise ValueError(f"{name} must be nonempty")
-            if any(v <= 0 for v in values):
-                raise ValueError(f"{name} must be positive")
+            if not all(math.isfinite(v) and v > 0 for v in values):
+                raise ValueError(f"{name} must be positive and finite")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
 
@@ -94,47 +95,32 @@ def evaluate_sweep(
     max_range: float = 50.0,
     workers: int | None = None,
 ) -> list[SweepRow]:
-    """Complete (detector, limit, configuration) table.
+    """Complete table, sorted by detector, limit, d_max, r_max, t_max.
 
-    Cells are computed independently per (detector, limit) task and merged
-    in a canonical order, so the output is bit-identical for any worker
-    count.
+    Each (d_max, r_max) slice of the grid is one batched reweighting over
+    all its t_max values. Runs on one thread; ``workers`` is accepted for
+    compatibility and ignored.
     """
     if not detections_by_detector:
         raise ValueError("at least one detector is required")
     materialized = {name: list(dets) for name, dets in detections_by_detector.items()}
-    tasks = [(name, l) for name in sorted(materialized) for l in dist_limits]
-
-    def one(task: tuple[str, float]) -> list[SweepRow]:
-        name, distance_limit = task
-        acc = CurveAccumulator(dataset, materialized[name], class_name, distance_limit, max_range)
-        rows: list[SweepRow] = []
-        ap: float | None = None
-        for cfg in grid.configs():
-            _, precision, recall, p_r, r_s = acc.curve_arrays(cfg)
-            if ap is None:
-                ap = ap_from_arrays(ap_style, recall, precision)
-            rows.append(
-                SweepRow(
-                    detector=name,
-                    class_name=class_name,
-                    distance_limit=distance_limit,
-                    d_max=cfg.d_max,
-                    r_max=cfg.r_max,
-                    t_max=cfg.t_max,
-                    ap=ap,
-                    ap_crit=ap_from_arrays(ap_style, r_s, p_r),
+    # configs() varies t_max fastest, so every len(t_values)-th one starts a slice.
+    slice_heads = grid.configs()[:: len(grid.t_values)]
+    rows: list[SweepRow] = []
+    for name in sorted(materialized):
+        for distance_limit in sorted(dist_limits):
+            acc = CurveAccumulator(dataset, materialized[name], class_name, distance_limit,
+                                   max_range)
+            ap: float | None = None
+            for head in slice_heads:
+                _, precision, recall, p_r, r_s = acc.curve_arrays(head, t_values=grid.t_values)
+                if ap is None:
+                    ap = ap_from_arrays(ap_style, recall, precision)
+                rows.extend(
+                    SweepRow(name, class_name, distance_limit, head.d_max, head.r_max, t_max,
+                             ap, ap_from_arrays(ap_style, r_s_row, p_r_row))
+                    for t_max, p_r_row, r_s_row in zip(grid.t_values, p_r, r_s)
                 )
-            )
-        return rows
-
-    n_workers = max(1, min(worker_count(workers), len(tasks)))
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        chunks = list(pool.map(one, tasks))
-    rows = [row for chunk in chunks for row in chunk]
-    rows.sort(
-        key=lambda r: (r.detector, r.distance_limit, r.d_max, r.r_max, r.t_max)
-    )
     return rows
 
 
@@ -207,7 +193,19 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
             )
 
 
+def _finite_cell(rec: dict[str, str], column: str, where: str) -> float:
+    text = rec[column]
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise IngestError(f"{where}: column '{column}': expected a finite number, got {text!r}")
+    return value
+
+
 def read_sweep_csv(path: str | Path) -> list[SweepRow]:
+    """Rows of a sweep table; a cap or AP cell that is not a finite number is an error."""
     rows: list[SweepRow] = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -215,16 +213,17 @@ def read_sweep_csv(path: str | Path) -> list[SweepRow]:
         if missing:
             raise ValueError(f"{path}: missing sweep columns {sorted(missing)}")
         for rec in reader:
+            where = f"{path}:line {reader.line_num}"
             rows.append(
                 SweepRow(
                     detector=rec["detector"],
                     class_name=rec["class"],
-                    distance_limit=float(rec["l"]),
-                    d_max=float(rec["d_max"]),
-                    r_max=float(rec["r_max"]),
-                    t_max=float(rec["t_max"]),
-                    ap=float(rec["ap"]),
-                    ap_crit=float(rec["ap_crit"]),
+                    distance_limit=_finite_cell(rec, "l", where),
+                    d_max=_finite_cell(rec, "d_max", where),
+                    r_max=_finite_cell(rec, "r_max", where),
+                    t_max=_finite_cell(rec, "t_max", where),
+                    ap=_finite_cell(rec, "ap", where),
+                    ap_crit=_finite_cell(rec, "ap_crit", where),
                 )
             )
     return rows

@@ -14,7 +14,17 @@ from typing import Any
 
 import numpy as np
 
-from .model import Dataset, Detection, Frame, ObjectState, Vec2
+from .model import (
+    Dataset,
+    Detection,
+    Frame,
+    IngestError,
+    ObjectState,
+    Vec2,
+    _point,
+    _require,
+    _velocity,
+)
 
 KEYFRAME_INTERVAL = 0.5
 DEFAULT_OBJECT_SIZE = (2.0, 4.5)
@@ -258,30 +268,30 @@ def brute_force_cpa(
 # JSON forms accepted by the CLI.
 
 
-def _vec2_from(value: Any, what: str) -> Vec2:
-    if not isinstance(value, (list, tuple)) or len(value) < 2:
-        raise ValueError(f"{what}: expected [x, y]")
-    return Vec2(float(value[0]), float(value[1]))
-
-
-def scenario_from_dict(data: dict[str, Any]) -> ScenarioSpec:
-    ego = data.get("ego", {})
+def scenario_from_dict(data: Any, path: str = "$") -> ScenarioSpec:
+    """Scenario from its JSON form; errors name the offending location under ``path``."""
+    raw_frames = _require(data, "n_frames", path)
+    try:
+        n_frames = int(raw_frames)
+    except (TypeError, ValueError, OverflowError):
+        raise IngestError(f"{path}.n_frames: expected an integer, got {raw_frames!r}") from None
+    ego = _require(data, "ego", path)
     objects = []
     for i, obj in enumerate(data.get("objects", [])):
-        velocity = obj.get("velocity")
+        obj_path = f"{path}.objects[{i}]"
         objects.append(
             ScenarioObject(
-                start=_vec2_from(obj["start"], f"objects[{i}].start"),
-                velocity=None if velocity is None else _vec2_from(velocity, f"objects[{i}].velocity"),
+                start=_point(_require(obj, "start", obj_path), f"{obj_path}.start"),
+                velocity=_velocity(obj.get("velocity"), f"{obj_path}.velocity"),
                 class_name=obj.get("class", "car"),
                 size=tuple(obj.get("size", DEFAULT_OBJECT_SIZE)),
                 object_id=obj.get("id"),
             )
         )
     return ScenarioSpec(
-        n_frames=int(data["n_frames"]),
-        ego_start=_vec2_from(ego["start"], "ego.start"),
-        ego_velocity=_vec2_from(ego["velocity"], "ego.velocity"),
+        n_frames=n_frames,
+        ego_start=_point(_require(ego, "start", f"{path}.ego"), f"{path}.ego.start"),
+        ego_velocity=_point(_require(ego, "velocity", f"{path}.ego"), f"{path}.ego.velocity"),
         objects=objects,
         seed=int(data.get("seed", 0)),
         frame_prefix=str(data.get("frame_prefix", "frame")),

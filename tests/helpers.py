@@ -5,6 +5,9 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from criteval.criticality import CriticalityConfig, criticality_components
+from criteval.matching import MatchResult
+from criteval.metrics import WeightedCounts
 from criteval.model import Dataset, Detection, Frame, ObjectState, Vec2
 from criteval.synthgen import ScenarioObject, ScenarioSpec, SplitMix64, gen_dataset
 
@@ -27,6 +30,20 @@ def make_ego(center=(0.0, 0.0), velocity=(0.0, 0.0), yaw=0.0) -> ObjectState:
 
 def make_frame(frame_id="f0", timestamp=0.0, ego=None, objects=()) -> Frame:
     return Frame(frame_id, timestamp, ego if ego is not None else make_ego(), list(objects))
+
+
+def counts_from_match(match: MatchResult, ego: ObjectState, cfg: CriticalityConfig) -> WeightedCounts:
+    """Weighted counts for a single matched frame from scalar kappa (test oracle)."""
+    kappa = lambda obj: criticality_components(ego, obj, cfg).kappa
+    return WeightedCounts(
+        sum_tp_gt=sum(kappa(gt) for gt, _ in match.tp),
+        sum_tp_pred=sum(kappa(pred) for _, pred in match.tp),
+        sum_fp_pred=sum(kappa(pred) for pred in match.fp),
+        sum_fn_gt=sum(kappa(gt) for gt in match.fn),
+        n_tp=len(match.tp),
+        n_fp=len(match.fp),
+        n_fn=len(match.fn),
+    )
 
 
 def perfect_detections(dataset: Dataset, confidence=0.9) -> list[Detection]:

@@ -5,6 +5,7 @@ lines. The final test is an optional integration check against converted
 nuScenes data; it skips automatically unless CRITEVAL_NUSCENES_DIR is set.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -231,6 +232,12 @@ def test_ranking_divergence_demonstration():
     )
 
 
+# SHA-256 of sweep.csv and rankings.json for this corpus and the default grid,
+# recorded before the batched reweighting kernel replaced the per-config path.
+SWEEP_CSV_SHA256 = "6b334ff02b93f23fef60ec628590bee1950f32b7ae560a9cad57867009eb59b7"
+RANKINGS_SHA256 = "731ab9bde9272708b530e0cc6f66e48f65a0dde7019ddd451a66fd4f51274a93"
+
+
 def test_sweep_determinism_across_workers(tmp_path):
     dataset, detectors = sweep_dataset_and_detectors()
     assert len(dataset.frames) == 200
@@ -249,8 +256,10 @@ def test_sweep_determinism_across_workers(tmp_path):
         dump_json(rankings_report(rows, [0.5, 1.0, 2.0, 4.0]), json_path)
         outputs.append((csv_path.read_bytes(), json_path.read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2]
+    assert hashlib.sha256(outputs[0][0]).hexdigest() == SWEEP_CSV_SHA256
+    assert hashlib.sha256(outputs[0][1]).hexdigest() == RANKINGS_SHA256
     assert len(rows) == 2 * 4 * 1500
-    _passed("sweep determinism (1500 configs x 2 detectors, workers 1/4/8)")
+    _passed("sweep determinism (1500 configs x 2 detectors, workers 1/4/8, golden digests)")
 
 
 def test_birdview_snapshot_and_label_consistency():

@@ -132,6 +132,69 @@ def test_sweep_rank_round_trip(synthetic_inputs, tmp_path, capsys):
     assert "1. copy" in stdout and "2. ideal" in stdout  # tie broken by name
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ('{"d_values": [10], "t_values": [4]}', "$: missing required field 'r_values'"),
+        ('{"d_values": [10], "r_values": 20, "t_values": [4]}', "$.r_values: expected a list"),
+        ('{"d_values": [10], "r_values": [20, "x"], "t_values": [4]}', "$.r_values[1]: expected a number"),
+        ('{"d_values": [10], "r_values": [20, NaN], "t_values": [4]}', "$.r_values[1]: expected a finite"),
+    ],
+)
+def test_sweep_bad_grid_exits_one_naming_the_field(synthetic_inputs, tmp_path, capsys, grid, message):
+    gt, pred = synthetic_inputs
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(grid)
+    code = main(["sweep", "--gt", str(gt), "--pred", str(pred), "--grid", str(grid_path),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "column, cell",
+    [("ap", "nan"), ("ap", "zz"), ("ap_crit", "inf"), ("t_max", ""), ("l", "-inf")],
+)
+def test_rank_rejects_nonfinite_or_unparsable_cells(tmp_path, capsys, column, cell):
+    header = "detector,class,l,d_max,r_max,t_max,ap,ap_crit"
+    good = dict(zip(header.split(","), "a,car,1.0,20.0,20.0,8.0,0.5,0.4".split(",")))
+    bad = dict(good, detector="b", **{column: cell})
+    table = tmp_path / "sweep.csv"
+    table.write_text("\n".join([header, ",".join(good.values()), ",".join(bad.values())]) + "\n")
+    code = main(["rank", "--table", str(table), "--metric", "ap"])
+    assert code == 1
+    assert f"{table}:line 3: column '{column}'" in capsys.readouterr().err
+
+
+_SPEC = {
+    "n_frames": 3,
+    "ego": {"start": [0, 0], "velocity": [0, 3]},
+    "objects": [{"start": [10, 5], "velocity": [-2, 0]}],
+}
+
+
+@pytest.mark.parametrize(
+    "nested, drop, message",
+    [
+        (True, ("n_frames",), "$.scenario: missing required field 'n_frames'"),
+        (True, ("ego", "start"), "$.scenario.ego: missing required field 'start'"),
+        (True, ("ego", "velocity"), "$.scenario.ego: missing required field 'velocity'"),
+        (True, ("objects", 0, "start"), "$.scenario.objects[0]: missing required field 'start'"),
+        (False, ("objects", 0, "start"), "$.objects[0]: missing required field 'start'"),
+    ],
+)
+def test_generate_spec_missing_field_exits_one(tmp_path, capsys, nested, drop, message):
+    scenario = json.loads(json.dumps(_SPEC))
+    parent = scenario
+    for key in drop[:-1]:
+        parent = parent[key]
+    del parent[drop[-1]]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"scenario": scenario} if nested else scenario))
+    assert main(["generate", "--spec", str(spec_path), "--out", str(tmp_path / "g")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_generate_writes_gt_and_detector_files(tmp_path):
     spec = {
         "scenario": {

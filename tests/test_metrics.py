@@ -8,17 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from criteval.criticality import CriticalityConfig, classify, criticality_components, weights_from_class
+from criteval.criticality import (
+    CASE_MISSING_VELOCITY,
+    CASE_NONFINITE_TIME,
+    CASE_RECEDING,
+    CASE_TRACKED,
+    CASE_ZERO_REL_VELOCITY,
+    CriticalityConfig,
+    criticality_components,
+    weights_from_class,
+)
 from criteval.matching import match_frame
 from criteval.metrics import (
     CurveAccumulator,
     CurvePoint,
     WeightedCounts,
-    _kappa_array,
+    _ScoreTerms,
     average_precision,
     build_curve,
     classic_pr,
-    counts_from_match,
     devkit_average_precision,
     resample_curve,
     weighted_pr,
@@ -29,6 +37,7 @@ from criteval.model import Dataset, Detection, Vec2
 from criteval.synthgen import ErrorModel, corrupt, gen_dataset
 
 from helpers import (
+    counts_from_match,
     make_ego,
     make_frame,
     make_state,
@@ -293,21 +302,55 @@ def test_unit_weight_injection_reduces_to_classic():
         ) <= 1e-12
 
 
-def test_vectorized_kappa_matches_scalar_path():
-    ego = make_ego(velocity=(1.5, -0.5))
-    states = [
-        make_state(object_id=f"s{i}", center=(4.0 * i - 20.0, 3.0 * i - 10.0),
-                   velocity=None if i % 5 == 0 else (2.0 * math.sin(i), 1.5 * math.cos(i)))
-        for i in range(25)
-    ]
-    rows = [classify(ego, s) for s in states]
-    case = np.array([r[0] for r in rows])
-    d_b = np.array([r[1] for r in rows])
-    d_c = np.array([r[2] for r in rows])
-    d_t = np.array([r[3] for r in rows])
-    vec = _kappa_array(case, d_b, d_c, d_t, CFG)
-    for i, row in enumerate(rows):
-        assert vec[i] == weights_from_class(*row, CFG).kappa
+# Mostly within the caps' range, where scores are strictly between 0 and 1.
+_DIST = st.floats(min_value=0.0, max_value=120.0) | st.floats(min_value=0.0, max_value=1e200)
+_CAP = st.floats(min_value=0.5, max_value=100.0)
+# One strategy per classified situation, shaped like ``classify`` output.
+_CLASSIFIED = (
+    st.tuples(st.just(CASE_MISSING_VELOCITY), _DIST, st.just(0.0), st.just(0.0)),
+    st.tuples(st.just(CASE_ZERO_REL_VELOCITY), _DIST, st.just(0.0), st.just(0.0)),
+    st.tuples(st.just(CASE_RECEDING), _DIST, st.just(0.0), st.just(0.0)),
+    st.tuples(st.just(CASE_NONFINITE_TIME), _DIST, _DIST, st.sampled_from([math.inf, math.nan])),
+    st.tuples(st.just(CASE_NONFINITE_TIME), _DIST, st.just(math.inf), st.sampled_from([math.inf, math.nan])),
+    st.tuples(st.just(CASE_TRACKED), _DIST, _DIST, _DIST),
+)
+
+
+@given(
+    each_case=st.tuples(*_CLASSIFIED),
+    extra=st.lists(st.one_of(*_CLASSIFIED), max_size=20),
+    d_max=_CAP,
+    r_max=_CAP,
+    t_values=st.lists(_CAP, min_size=1, max_size=6),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_kernel_matches_scalar_path(each_case, extra, d_max, r_max, t_values, seed):
+    rows = list(each_case) + extra
+    kappa = np.empty((len(t_values), len(rows)))
+    _ScoreTerms(rows, [None] * len(rows)).kappa_rows(d_max, r_max, np.array(t_values), kappa)
+    for t_max, kappa_row in zip(t_values, kappa):
+        cfg = CriticalityConfig(d_max, r_max, t_max)
+        assert list(kappa_row) == [weights_from_class(*row, cfg).kappa for row in rows]
+
+    dataset = gen_dataset(random_scenario_spec(seed=seed, n_frames=3))
+    detections = corrupt(
+        dataset,
+        ErrorModel(miss_prob_by_distance=0.2, center_noise_sigma=0.5,
+                   velocity_noise_sigma=0.5, fp_rate_per_frame=2.0),
+        seed=seed + 1,
+    )
+    acc = CurveAccumulator(dataset, detections, "car", 1.0)
+    batch = acc.curve_arrays(CriticalityConfig(d_max, r_max, t_values[0]), t_values=t_values)
+    scalar = lambda e, o, c: criticality_components(e, o, c).kappa
+    for i, t_max in enumerate(t_values):
+        cfg = CriticalityConfig(d_max, r_max, t_max)
+        one_row = acc.curve_arrays(cfg)
+        oracle = acc.curve_arrays(cfg, weight_fn=scalar)
+        for k in range(3):
+            assert np.array_equal(batch[k], one_row[k]) and np.array_equal(one_row[k], oracle[k])
+        for k in (3, 4):
+            assert np.array_equal(batch[k][i], one_row[k]) and np.array_equal(one_row[k], oracle[k])
 
 
 def test_resample_curve_grid():
