@@ -1,84 +1,21 @@
-"""Criticality-weighted evaluation of object detections for driving tasks."""
+"""Criticality-weighted evaluation of object detections for driving tasks.
 
-from .criticality import (
-    CriticalityConfig,
-    CriticalityWeights,
-    combine,
-    criticality_components,
-    parabolic_score,
-)
-from .geometry import ApproachGeometry, closest_approach, relative_velocity, time_to_closest_approach
-from .matching import MatchResult, distance_limits_default, match_frame
-from .metrics import (
-    CurvePoint,
-    EvaluationReport,
-    WeightedCounts,
-    average_precision,
-    build_curve,
-    classic_pr,
-    devkit_average_precision,
-    evaluate_detector,
-    weighted_pr,
-)
-from .model import (
-    Dataset,
-    Detection,
-    Frame,
-    IngestError,
-    ObjectState,
-    Vec2,
-    filter_eval_range,
-    load_detections,
-    load_ground_truth,
-    select_class,
-)
-from .sweep import ConfigGrid, RankingDiff, default_grid, evaluate_sweep, rank, ranking_diff
-from .synthgen import ErrorModel, ScenarioObject, ScenarioSpec, brute_force_cpa, corrupt, gen_dataset
+The package root holds the names of the README's Library example; every
+other name is imported from its submodule.
+"""
+
+from .criticality import CriticalityConfig, criticality_components
+from .metrics import average_precision, build_curve, evaluate_detector
+from .model import load_detections, load_ground_truth
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproachGeometry",
-    "ConfigGrid",
     "CriticalityConfig",
-    "CriticalityWeights",
-    "CurvePoint",
-    "Dataset",
-    "Detection",
-    "ErrorModel",
-    "EvaluationReport",
-    "Frame",
-    "IngestError",
-    "MatchResult",
-    "ObjectState",
-    "RankingDiff",
-    "ScenarioObject",
-    "ScenarioSpec",
-    "Vec2",
-    "WeightedCounts",
     "average_precision",
-    "brute_force_cpa",
     "build_curve",
-    "classic_pr",
-    "closest_approach",
-    "combine",
-    "corrupt",
     "criticality_components",
-    "default_grid",
-    "devkit_average_precision",
-    "distance_limits_default",
     "evaluate_detector",
-    "evaluate_sweep",
-    "filter_eval_range",
-    "gen_dataset",
     "load_detections",
     "load_ground_truth",
-    "match_frame",
-    "parabolic_score",
-    "rank",
-    "ranking_diff",
-    "relative_velocity",
-    "select_class",
-    "time_to_closest_approach",
-    "weighted_pr",
 ]

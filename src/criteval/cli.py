@@ -120,8 +120,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     rows = sweep.read_sweep_csv(args.table)
-    limits = [args.limit] if args.limit is not None else sorted({r.distance_limit for r in rows})
-    for limit in limits:
+    present = sorted({r.distance_limit for r in rows})
+    if args.limit is not None and args.limit not in present:
+        listed = ", ".join(f"{limit:g}" for limit in present) or "none"
+        raise ValueError(f"{args.table}: no rows with l={args.limit:g}; limits present: {listed}")
+    for limit in present if args.limit is None else [args.limit]:
         if args.config is not None:
             config = args.config
         else:
@@ -163,8 +166,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     model.dump_json(model.dataset_to_dict(dataset), out / "gt.json")
     written = [out / "gt.json"]
     detectors = data.get("detectors", {})
+    if not isinstance(detectors, dict):
+        raise model.IngestError("$.detectors: expected an object")
     for i, name in enumerate(sorted(detectors)):
-        error_model = synthgen.error_model_from_dict(detectors[name])
+        error_model = synthgen.error_model_from_dict(detectors[name], f"$.detectors.{name}")
         detections = synthgen.corrupt(dataset, error_model, seed=spec.seed + i)
         path = out / f"{name}.json"
         model.dump_json(model.detections_to_dict(detections), path)

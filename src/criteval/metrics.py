@@ -2,7 +2,8 @@
 
 Curves are built over the distinct confidence values present in the
 detections, evaluated from high to low, with one set of counts
-accumulated over the whole dataset per threshold. Matching and approach
+accumulated over the whole dataset per threshold; with no detections a
+curve is one vacuous point at threshold 1.0. Matching and approach
 geometry do not depend on the criticality caps, so
 :class:`CurveAccumulator` computes them once and reweights cheaply for
 any number of configurations.
@@ -30,7 +31,6 @@ from .matching import greedy_assign
 from .model import (
     Dataset,
     Detection,
-    ObjectState,
     detections_by_frame,
     filter_eval_range,
     ingest_summary,
@@ -41,11 +41,6 @@ DEFAULT_EVAL_RANGE = 50.0
 AP_MIN_RECALL = 0.1
 AP_MIN_PRECISION = 0.1
 AP_STYLES = ("paper", "devkit")
-
-# Optional replacement for the criticality weight of one object; the
-# default is the combined kappa. Tests inject a constant to check that the
-# weighted measures reduce to the classic ones.
-WeightFn = Callable[[ObjectState, ObjectState, CriticalityConfig], float]
 
 
 @dataclass(frozen=True)
@@ -74,13 +69,24 @@ class CurvePoint:
     r_s: float
 
 
+def _ratio(num: np.ndarray, den: np.ndarray | float) -> np.ndarray:
+    """``min(1, num / den)`` written into ``num``; vacuously 1 where ``den == 0``."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        np.divide(num, den, out=num)
+    np.minimum(num, 1.0, out=num)
+    np.copyto(num, 1.0, where=np.asarray(den) == 0.0)
+    return num
+
+
+def _scalar_ratios(num: tuple[float, float], den: tuple[float, float]) -> tuple[float, float]:
+    a, b = _ratio(np.array(num, dtype=np.float64), np.array(den, dtype=np.float64))
+    return float(a), float(b)
+
+
 def classic_pr(counts: WeightedCounts) -> tuple[float, float]:
     """Count-based precision and recall; empty ratios are vacuously 1."""
-    p_den = counts.n_tp + counts.n_fp
-    r_den = counts.n_tp + counts.n_fn
-    precision = counts.n_tp / p_den if p_den else 1.0
-    recall = counts.n_tp / r_den if r_den else 1.0
-    return precision, recall
+    return _scalar_ratios((counts.n_tp, counts.n_tp),
+                          (counts.n_tp + counts.n_fp, counts.n_tp + counts.n_fn))
 
 
 def weighted_pr(counts: WeightedCounts) -> tuple[float, float]:
@@ -90,11 +96,9 @@ def weighted_pr(counts: WeightedCounts) -> tuple[float, float]:
     criticality (precision numerator, recall denominator); predicted
     weights sit on the other side. Both measures are clamped to 1.
     """
-    p_den = counts.sum_tp_pred + counts.sum_fp_pred
-    r_den = counts.sum_tp_gt + counts.sum_fn_gt
-    p_r = 1.0 if p_den == 0.0 else min(1.0, counts.sum_tp_gt / p_den)
-    r_s = 1.0 if r_den == 0.0 else min(1.0, counts.sum_tp_pred / r_den)
-    return p_r, r_s
+    return _scalar_ratios((counts.sum_tp_gt, counts.sum_tp_pred),
+                          (counts.sum_tp_pred + counts.sum_fp_pred,
+                           counts.sum_tp_gt + counts.sum_fn_gt))
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -121,11 +125,11 @@ class _ScoreTerms:
 
     Each score is ``max(0, -x**2 / cap**2 + 1)`` or a case's fixed value, so
     keeping ``-x**2`` per object leaves one pass per cap value, with the
-    same operations in the same order as ``weights_from_class``.
+    same operations in the same order as ``weights_from_class``. Each row
+    starts with the four fields of a ``classify`` result.
     """
 
-    def __init__(self, rows: Sequence[tuple], refs: list[tuple[ObjectState, ObjectState]]):
-        self.refs = refs
+    def __init__(self, rows: Sequence[tuple]):
         case = np.array([r[0] for r in rows], dtype=np.int64)
         d_b, d_c, d_t = (np.array([r[k] for r in rows], dtype=np.float64) for k in (1, 2, 3))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -150,13 +154,17 @@ class _ScoreTerms:
             np.copyto(score, self._fixed, where=~scored)
         return np.subtract(1.0, score, out=score)
 
-    def kappa_rows(self, d_max: float, r_max: float, t_values: np.ndarray, out: np.ndarray) -> None:
-        """Write ``1 - (1-kd)(1-kr)(1-kt)`` for each t_max into a row of ``out``."""
+    def kappa_rows(self, d_max: float, r_max: float, t_values: np.ndarray,
+                   pad: int = 0) -> np.ndarray:
+        """``1 - (1-kd)(1-kr)(1-kt)`` per object, one row per t_max, after ``pad`` zero columns."""
+        out = np.zeros((len(t_values), pad + len(self._fixed)))
+        kappa = out[:, pad:]
         not_dr = self._complement(self._neg_sq_b, d_max, None)
         not_dr *= self._complement(self._neg_sq_c, r_max, self._scored_r)
-        self._complement(self._neg_sq_t, t_values[:, None], self._scored_t, out=out)
-        out *= not_dr
-        np.subtract(1.0, out, out=out)
+        self._complement(self._neg_sq_t, t_values[:, None], self._scored_t, out=kappa)
+        kappa *= not_dr
+        np.subtract(1.0, kappa, out=kappa)
+        return out
 
 
 def _running_sums(padded: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -174,7 +182,10 @@ class CurveAccumulator:
 
     Frames are processed in sorted frame_id order and predictions kept in a
     fixed global order (descending confidence, then frame_id, then within-
-    frame rank), so repeated evaluations are bit-reproducible.
+    frame rank), so repeated evaluations are bit-reproducible. Each cut of
+    the curve keeps the highest-confidence predictions down to one distinct
+    confidence; with no predictions there is one cut, at threshold 1.0,
+    that keeps none.
     """
 
     def __init__(
@@ -193,65 +204,49 @@ class CurveAccumulator:
 
         grouped = detections_by_frame(detections)
         gt_rows: list[tuple[int, float, float, float]] = []
-        gt_refs: list[tuple[ObjectState, ObjectState]] = []
+        # One row per prediction: the four classify() fields, then confidence,
+        # frame_id, within-frame rank and the matched ground truth (-1 if none).
         entries: list[tuple] = []
         for frame in sorted(dataset.frames, key=lambda f: f.frame_id):
             sub, dets = select_class(frame, grouped.get(frame.frame_id, []), class_name)
             sub, dets = filter_eval_range(sub, dets, max_range)
             base = len(gt_rows)
-            for gt in sub.ground_truth:
-                gt_rows.append(classify(sub.ego, gt))
-                gt_refs.append((sub.ego, gt))
+            gt_rows.extend(classify(sub.ego, gt) for gt in sub.ground_truth)
             assignment = greedy_assign(sub.ground_truth, dets, distance_limit)
             for rank, (det, j) in enumerate(assignment):
                 gt_index = base + j if j is not None else -1
-                entries.append((det.confidence, sub.frame_id, rank,
-                                classify(sub.ego, det.state), gt_index, (sub.ego, det.state)))
-        entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-        tp = [e for e in entries if e[4] >= 0]
-        fp = [e for e in entries if e[4] < 0]
+                entries.append((*classify(sub.ego, det.state), det.confidence, sub.frame_id,
+                                rank, gt_index))
+        entries.sort(key=lambda e: (-e[4], e[5], e[6]))
+        tp = [e for e in entries if e[7] >= 0]
+        fp = [e for e in entries if e[7] < 0]
 
         self.n_gt = len(gt_rows)
-        self._gt = _ScoreTerms(gt_rows, gt_refs)
+        self._gt = _ScoreTerms(gt_rows)
         # Predictions split into true and false positives, each in global order.
-        self._tp = _ScoreTerms([e[3] for e in tp], [e[5] for e in tp])
-        self._fp = _ScoreTerms([e[3] for e in fp], [e[5] for e in fp])
-        self._tp_gt = np.array([e[4] for e in tp], dtype=np.int64)
-        self._conf = np.array([e[0] for e in entries], dtype=np.float64)
-        self._tp_seen = np.cumsum([e[4] >= 0 for e in entries], dtype=np.int64)
-        if len(self._conf):
-            boundaries = np.flatnonzero(np.diff(self._conf) != 0.0)
-            ends = np.append(boundaries, len(self._conf) - 1)
+        self._tp = _ScoreTerms(tp)
+        self._fp = _ScoreTerms(fp)
+        self._tp_gt = np.array([e[7] for e in tp], dtype=np.int64)
+        self._conf = np.array([e[4] for e in entries], dtype=np.float64)
+        if entries:
+            ends = np.flatnonzero(np.append(np.diff(self._conf) != 0.0, True))
+            n_kept, thresholds = ends + 1, self._conf[ends]
         else:
-            ends = np.array([], dtype=np.int64)
-        self._tp_at_end = self._tp_seen[ends]
-        self._fp_at_end = ends + 1 - self._tp_at_end
-        cum_tp = self._tp_at_end.astype(np.float64)
+            n_kept, thresholds = np.zeros(1, dtype=np.int64), np.ones(1)
+        tp_seen = np.cumsum([0] + [e[7] >= 0 for e in entries], dtype=np.int64)
+        self._tp_at_cut = tp_seen[n_kept]
+        self._fp_at_cut = n_kept - self._tp_at_cut
+        cum_tp = self._tp_at_cut.astype(np.float64)
         self._classic = (
-            self._conf[ends],
-            cum_tp / (ends + 1).astype(np.float64),
-            cum_tp / self.n_gt if self.n_gt else np.ones_like(cum_tp),
+            thresholds,
+            _ratio(cum_tp.copy(), n_kept.astype(np.float64)),
+            _ratio(cum_tp, float(self.n_gt)),
         )
         for array in self._classic:
             array.flags.writeable = False
 
-    def _kappa(self, terms: _ScoreTerms, cfg: CriticalityConfig, t_values: np.ndarray,
-               weight_fn: WeightFn | None, pad: int = 0) -> np.ndarray:
-        """Kappa of each object for each t_max, one row per t_max, after ``pad`` zero columns."""
-        out = np.zeros((len(t_values), pad + len(terms.refs)))
-        if weight_fn is None:
-            terms.kappa_rows(cfg.d_max, cfg.r_max, t_values, out[:, pad:])
-        else:
-            for row, t_max in zip(out, t_values):
-                row_cfg = CriticalityConfig(cfg.d_max, cfg.r_max, float(t_max))
-                row[pad:] = [weight_fn(ego, st, row_cfg) for ego, st in terms.refs]
-        return out
-
     def curve_arrays(
-        self,
-        cfg: CriticalityConfig,
-        weight_fn: WeightFn | None = None,
-        t_values: Sequence[float] | None = None,
+        self, cfg: CriticalityConfig, t_values: Sequence[float] | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(threshold, precision, recall, p_r, r_s) arrays, highest threshold first.
 
@@ -259,66 +254,36 @@ class CurveAccumulator:
         one row per value, for ``cfg`` with that ``t_max``: the cap-separable
         component scores are computed once for the whole batch. Every row
         equals the 1-row result bit for bit. The classic arrays are shared
-        and read-only. All are empty when there are no detections.
+        and read-only.
 
         The safety-weighted recall denominator is the total ground-truth
         weight, which does not depend on the threshold, so the recall side
         is exactly nonincreasing as the threshold rises.
         """
         t = np.array([cfg.t_max] if t_values is None else t_values, dtype=np.float64)
-        kgt = self._kappa(self._gt, cfg, t, weight_fn)
+        kgt = self._gt.kappa_rows(cfg.d_max, cfg.r_max, t)
         # The same pairwise sum as over a 1-D array, row by row.
         total_gt = np.array([row.sum() for row in kgt])[:, None]
         tp_gt = np.zeros((len(t), len(self._tp_gt) + 1))
         tp_gt[:, 1:] = kgt[:, self._tp_gt]
-        cum_tp_gt = _running_sums(tp_gt, self._tp_at_end)
-        cum_tp_pred = _running_sums(self._kappa(self._tp, cfg, t, weight_fn, pad=1), self._tp_at_end)
-        p_den = _running_sums(self._kappa(self._fp, cfg, t, weight_fn, pad=1), self._fp_at_end)
+        cum_tp_gt = _running_sums(tp_gt, self._tp_at_cut)
+        cum_tp_pred = _running_sums(self._tp.kappa_rows(cfg.d_max, cfg.r_max, t, pad=1),
+                                    self._tp_at_cut)
+        p_den = _running_sums(self._fp.kappa_rows(cfg.d_max, cfg.r_max, t, pad=1),
+                              self._fp_at_cut)
         p_den += cum_tp_pred
-        with np.errstate(invalid="ignore", divide="ignore"):
-            empty = p_den == 0.0
-            p_den[empty] = 1.0
-            p_r = np.divide(cum_tp_gt, p_den, out=cum_tp_gt)
-            np.minimum(p_r, 1.0, out=p_r)
-            p_r[empty] = 1.0
-            r_s = np.divide(cum_tp_pred, total_gt, out=cum_tp_pred)
-            np.minimum(r_s, 1.0, out=r_s)
-            r_s[total_gt[:, 0] == 0.0] = 1.0
+        p_r = _ratio(cum_tp_gt, p_den)
+        r_s = _ratio(cum_tp_pred, total_gt)
         if t_values is None:
             p_r, r_s = p_r[0], r_s[0]
         return (*self._classic, p_r, r_s)
 
-    def curve(self, cfg: CriticalityConfig, weight_fn: WeightFn | None = None) -> list[CurvePoint]:
-        """One operating point per distinct confidence, highest threshold first."""
-        thresholds, precision, recall, p_r, r_s = self.curve_arrays(cfg, weight_fn)
-        if len(thresholds) == 0:
-            counts = self.counts_at(1.0, cfg, weight_fn)
-            p, r = classic_pr(counts)
-            pr, rs = weighted_pr(counts)
-            return [CurvePoint(1.0, p, r, pr, rs)]
+    def curve(self, cfg: CriticalityConfig) -> list[CurvePoint]:
+        """One operating point per cut, highest threshold first."""
         return [
             CurvePoint(float(t), float(p), float(r), float(pr), float(rs))
-            for t, p, r, pr, rs in zip(thresholds, precision, recall, p_r, r_s)
+            for t, p, r, pr, rs in zip(*self.curve_arrays(cfg))
         ]
-
-    def counts_at(
-        self, threshold: float, cfg: CriticalityConfig, weight_fn: WeightFn | None = None
-    ) -> WeightedCounts:
-        """Dataset-global weighted counts for one confidence threshold."""
-        t = np.array([cfg.t_max])
-        kgt, ktp, kfp = (self._kappa(terms, cfg, t, weight_fn)[0]
-                         for terms in (self._gt, self._tp, self._fp))
-        # Confidences descend, so the kept predictions are a prefix.
-        kept = int(np.count_nonzero(self._conf >= threshold))
-        n_tp = int(self._tp_seen[kept - 1]) if kept else 0
-        matched = self._tp_gt[:n_tp]
-        fn_mask = np.ones(self.n_gt, dtype=bool)
-        fn_mask[matched] = False
-        return WeightedCounts(
-            float(np.sum(kgt[matched])), float(np.sum(ktp[:n_tp])),
-            float(np.sum(kfp[:kept - n_tp])), float(np.sum(kgt[fn_mask])),
-            n_tp, kept - n_tp, int(np.count_nonzero(fn_mask)),
-        )
 
 
 def build_curve(
@@ -327,12 +292,11 @@ def build_curve(
     class_name: str,
     distance_limit: float,
     cfg: CriticalityConfig,
-    weight_fn: WeightFn | None = None,
     max_range: float = DEFAULT_EVAL_RANGE,
 ) -> list[CurvePoint]:
     """Operating points over the distinct confidences present in the detections."""
     acc = CurveAccumulator(dataset, detections, class_name, distance_limit, max_range)
-    return acc.curve(cfg, weight_fn)
+    return acc.curve(cfg)
 
 
 def _curve_arrays(curve: Sequence[CurvePoint], use_weighted: bool) -> tuple[np.ndarray, np.ndarray]:

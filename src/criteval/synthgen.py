@@ -21,6 +21,7 @@ from .model import (
     IngestError,
     ObjectState,
     Vec2,
+    _finite,
     _point,
     _require,
     _velocity,
@@ -298,28 +299,42 @@ def scenario_from_dict(data: Any, path: str = "$") -> ScenarioSpec:
     )
 
 
-def error_model_from_dict(data: dict[str, Any]) -> ErrorModel:
+def _number_in(value: Any, path: str, low: float, high: float = math.inf) -> float:
+    out = _finite(value, path)
+    if not low <= out <= high:
+        raise IngestError(f"{path}: expected a number in [{low:g}, {high:g}], got {out!r}")
+    return out
+
+
+def error_model_from_dict(data: Any, path: str = "$") -> ErrorModel:
+    """Error model from its JSON form; errors name the offending location under ``path``."""
+    if not isinstance(data, dict):
+        raise IngestError(f"{path}: expected an object")
     miss = data.get("miss_prob_by_distance", 0.0)
-    if isinstance(miss, list):
-        miss = [(float(limit), float(prob)) for limit, prob in miss]
-    model = ErrorModel(
-        miss_prob_by_distance=miss,
-        center_noise_sigma=float(data.get("center_noise_sigma", 0.0)),
-        velocity_noise_sigma=float(data.get("velocity_noise_sigma", 0.0)),
-        fp_rate_per_frame=float(data.get("fp_rate_per_frame", 0.0)),
-        confidence_model=data.get(
-            "confidence_model",
-            {"true": {"mean": 0.8, "std": 0.1}, "false": {"mean": 0.3, "std": 0.1}},
-        ),
-        fp_radius=float(data.get("fp_radius", 50.0)),
-    )
-    probs = (
-        [model.miss_prob_by_distance]
-        if isinstance(model.miss_prob_by_distance, float)
-        else [p for _, p in model.miss_prob_by_distance]
-    )
-    if any(not 0.0 <= p <= 1.0 for p in probs):
-        raise ValueError("miss probabilities must be in [0, 1]")
-    if model.center_noise_sigma < 0 or model.velocity_noise_sigma < 0 or model.fp_rate_per_frame < 0:
-        raise ValueError("noise sigmas and fp_rate_per_frame must be nonnegative")
-    return model
+    miss_path = f"{path}.miss_prob_by_distance"
+    if not isinstance(miss, list):
+        miss = _number_in(miss, miss_path, 0.0, 1.0)
+    else:
+        for i, step in enumerate(miss):
+            if not isinstance(step, list) or len(step) != 2:
+                raise IngestError(f"{miss_path}[{i}]: expected [distance_limit, prob]")
+        miss = [(_finite(limit, f"{miss_path}[{i}][0]"),
+                 _number_in(prob, f"{miss_path}[{i}][1]", 0.0, 1.0))
+                for i, (limit, prob) in enumerate(miss)]
+    fields: dict[str, Any] = {"miss_prob_by_distance": miss}
+    for key in ("center_noise_sigma", "velocity_noise_sigma", "fp_rate_per_frame"):
+        if key in data:
+            fields[key] = _number_in(data[key], f"{path}.{key}", 0.0)
+    if "fp_radius" in data:
+        fields["fp_radius"] = _finite(data["fp_radius"], f"{path}.fp_radius")
+    if "confidence_model" in data:
+        conf, conf_path = data["confidence_model"], f"{path}.confidence_model"
+        fields["confidence_model"] = {
+            kind: {
+                key: _finite(_require(_require(conf, kind, conf_path), key, f"{conf_path}.{kind}"),
+                             f"{conf_path}.{kind}.{key}")
+                for key in ("mean", "std")
+            }
+            for kind in ("true", "false")
+        }
+    return ErrorModel(**fields)

@@ -46,6 +46,24 @@ def counts_from_match(match: MatchResult, ego: ObjectState, cfg: CriticalityConf
     )
 
 
+def without_velocities(
+    dataset: Dataset, detections: list[Detection]
+) -> tuple[Dataset, list[Detection]]:
+    """The same inputs with every object velocity unknown (ego keeps its own).
+
+    The missing-velocity fallback sets kappa_r = kappa_t = 1, so every
+    object's kappa is exactly 1 and the weighted measures must equal the
+    classic ones bit for bit.
+    """
+    unknown = lambda state: dataclasses.replace(state, velocity=None)
+    frames = [
+        dataclasses.replace(f, ground_truth=[unknown(gt) for gt in f.ground_truth])
+        for f in dataset.frames
+    ]
+    dets = [dataclasses.replace(d, state=unknown(d.state)) for d in detections]
+    return dataclasses.replace(dataset, frames=frames), dets
+
+
 def perfect_detections(dataset: Dataset, confidence=0.9) -> list[Detection]:
     """Predictions identical to the ground truth."""
     out = []

@@ -195,6 +195,44 @@ def test_generate_spec_missing_field_exits_one(tmp_path, capsys, nested, drop, m
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "detectors, message",
+    [
+        ({"x": {"center_noise_sigma": None}}, "$.detectors.x.center_noise_sigma: expected a number"),
+        ({"x": {"center_noise_sigma": -0.5}}, "$.detectors.x.center_noise_sigma: expected a number in [0, inf]"),
+        ({"x": {"miss_prob_by_distance": 1.5}}, "$.detectors.x.miss_prob_by_distance: expected a number in [0, 1]"),
+        ({"x": {"miss_prob_by_distance": [[10]]}}, "$.detectors.x.miss_prob_by_distance[0]: expected [distance_limit, prob]"),
+        ({"x": {"miss_prob_by_distance": [[10, 0.1], [20, "p"]]}}, "$.detectors.x.miss_prob_by_distance[1][1]: expected a number"),
+        ({"x": {"confidence_model": {"true": {"mean": 0.8, "std": 0.1}}}}, "$.detectors.x.confidence_model: missing required field 'false'"),
+        ({"x": 3}, "$.detectors.x: expected an object"),
+        (["x"], "$.detectors: expected an object"),
+    ],
+)
+def test_generate_bad_detector_spec_exits_one(tmp_path, capsys, detectors, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"scenario": _SPEC, "detectors": detectors}))
+    assert main(["generate", "--spec", str(spec_path), "--out", str(tmp_path / "g")]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_generate_integer_miss_probability_is_a_constant(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    for name, miss in (("int", 0), ("float", 0.0)):
+        spec_path.write_text(json.dumps({"scenario": _SPEC, "detectors": {"d": {"miss_prob_by_distance": miss}}}))
+        assert main(["generate", "--spec", str(spec_path), "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "int" / "d.json").read_bytes() == (tmp_path / "float" / "d.json").read_bytes()
+
+
+def test_rank_absent_limit_names_it_and_the_limits_present(tmp_path, capsys):
+    table = tmp_path / "sweep.csv"
+    table.write_text("detector,class,l,d_max,r_max,t_max,ap,ap_crit\n"
+                     "a,car,1.0,20.0,20.0,8.0,0.5,0.4\na,car,2.0,20.0,20.0,8.0,0.6,0.5\n")
+    for extra in ([], ["--config", "20,20,8"]):
+        code = main(["rank", "--table", str(table), "--metric", "ap", "--l", "3", *extra])
+        assert code == 1
+        assert f"{table}: no rows with l=3; limits present: 1, 2" in capsys.readouterr().err
+
+
 def test_generate_writes_gt_and_detector_files(tmp_path):
     spec = {
         "scenario": {

@@ -1,8 +1,12 @@
 """Configuration grids, sweep tables, rankings."""
 
+import itertools
+
 import pytest
 
 from criteval.criticality import CriticalityConfig
+from criteval.metrics import evaluate_detector
+from criteval.model import Dataset
 from criteval.sweep import (
     ConfigGrid,
     SweepRow,
@@ -16,7 +20,14 @@ from criteval.sweep import (
 )
 from criteval.synthgen import ErrorModel, corrupt, gen_dataset
 
-from helpers import perfect_detections, random_scenario_spec
+from helpers import (
+    make_ego,
+    make_frame,
+    make_state,
+    perfect_detections,
+    random_scenario_spec,
+    without_velocities,
+)
 
 SMALL_GRID = ConfigGrid(d_values=(10.0, 20.0), r_values=(20.0,), t_values=(4.0, 8.0))
 
@@ -89,19 +100,31 @@ def test_sweep_ap_crit_bounded_and_unit_weight_collapses_every_config():
     dataset, detectors = _sweep_inputs()
     rows = evaluate_sweep(dataset, detectors, SMALL_GRID, [1.0], "car")
     assert all(0.0 <= r.ap_crit <= 1.0 for r in rows)
-    acc = CurveAccumulator(dataset, detectors["noisy"], "car", 1.0)
+    acc = CurveAccumulator(*without_velocities(dataset, detectors["noisy"]), "car", 1.0)
     for cfg in SMALL_GRID.configs():
-        _, precision, recall, p_r, r_s = acc.curve_arrays(cfg, weight_fn=lambda e, o, c: 1.0)
-        assert abs(
-            ap_from_arrays("paper", r_s, p_r) - ap_from_arrays("paper", recall, precision)
-        ) <= 1e-12
+        _, precision, recall, p_r, r_s = acc.curve_arrays(cfg)
+        assert ap_from_arrays("paper", r_s, p_r) == ap_from_arrays("paper", recall, precision)
 
 
 def test_sweep_detector_with_no_detections_has_rows():
     dataset, _ = _sweep_inputs()
-    rows = evaluate_sweep(dataset, {"mute": []}, SMALL_GRID, [1.0], "car")
-    assert len(rows) == len(SMALL_GRID)
-    assert all(r.ap == 0.0 and r.ap_crit == 0.0 for r in rows)
+    # One car 30 m ahead driving away: its kappa is 0 for d_max < 30.
+    receding = Dataset([make_frame("f0", 0.0, make_ego(),
+                                   [make_state(center=(0.0, 30.0), velocity=(0.0, 5.0))])])
+    grid = ConfigGrid(d_values=(5.0, 20.0), r_values=(20.0,), t_values=(4.0, 8.0))
+    cases = [
+        (dataset, "car", (0.0, 0.0)),  # critical ground truth, all of it missed
+        (dataset, "pedestrian", (1.0, 1.0)),  # no ground truth: one vacuous point
+        (receding, "car", (0.0, 1.0)),  # ground truth of zero total weight
+    ]
+    for (data, class_name, expected), ap_style in itertools.product(cases, ("paper", "devkit")):
+        rows = evaluate_sweep(data, {"mute": []}, grid, [1.0], class_name, ap_style=ap_style)
+        assert len(rows) == len(grid)
+        for row in rows:
+            cfg = CriticalityConfig(row.d_max, row.r_max, row.t_max)
+            res = evaluate_detector(data, [], class_name, [1.0], cfg, ap_style).results[0]
+            assert (repr(row.ap), repr(row.ap_crit)) == (repr(res.ap), repr(res.ap_crit))
+            assert (row.ap, row.ap_crit) == expected
 
 
 def test_sweep_requires_a_detector():
