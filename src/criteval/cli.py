@@ -68,10 +68,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     _warn_unknown_frames(report.ingest)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model.dump_json(report.to_dict(), out / "report.json")
+    metrics.write_report_json(report, out / "report.json")
     for res in report.results:
         metrics.write_curve_csv(
-            res.curve, out / f"curve_{args.class_name}_l{res.distance_limit:g}.csv"
+            res.arrays, out / f"curve_{args.class_name}_l{res.distance_limit:g}.csv"
         )
     print(
         f"class={args.class_name} ap_style={args.ap_style} "
@@ -125,12 +125,14 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         listed = ", ".join(f"{limit:g}" for limit in present) or "none"
         raise ValueError(f"{args.table}: no rows with l={args.limit:g}; limits present: {listed}")
     for limit in present if args.limit is None else [args.limit]:
-        if args.config is not None:
-            config = args.config
-        else:
-            subset = [r for r in rows if r.distance_limit == limit]
-            first = min(subset, key=lambda r: (r.d_max, r.r_max, r.t_max))
-            config = CriticalityConfig(first.d_max, first.r_max, first.t_max)
+        configs = sorted({(r.d_max, r.r_max, r.t_max) for r in rows if r.distance_limit == limit})
+        config = args.config if args.config is not None else CriticalityConfig(*configs[0])
+        key = (config.d_max, config.r_max, config.t_max)
+        if key not in configs:
+            text = lambda c: ",".join(f"{v:g}" for v in c)
+            listed = "; ".join(text(c) for c in configs[:5]) + ("; ..." if len(configs) > 5 else "")
+            raise ValueError(f"{args.table}: no rows with l={limit:g} and config {text(key)}; "
+                             f"configs present ({len(configs)}): {listed}")
         order = sweep.rank(rows, args.metric, limit, config)
         other = "ap" if args.metric == "ap_crit" else "ap_crit"
         diff = sweep.ranking_diff(
@@ -139,8 +141,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         values = {
             r.detector: (r.ap if args.metric == "ap" else r.ap_crit)
             for r in rows
-            if r.distance_limit == limit
-            and (r.d_max, r.r_max, r.t_max) == (config.d_max, config.r_max, config.t_max)
+            if r.distance_limit == limit and (r.d_max, r.r_max, r.t_max) == key
         }
         print(
             f"l={limit:g} config=({config.d_max:g},{config.r_max:g},{config.t_max:g}) "

@@ -11,9 +11,9 @@ any number of configurations.
 
 from __future__ import annotations
 
-import csv
+import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -44,29 +44,20 @@ AP_STYLES = ("paper", "devkit")
 
 
 @dataclass(frozen=True)
-class WeightedCounts:
-    """Criticality-weighted and raw tallies for one (limit, threshold) cut.
-
-    ``sum_tp_gt``/``sum_fn_gt`` sum ground-truth weights, ``sum_tp_pred``/
-    ``sum_fp_pred`` sum predicted-state weights.
-    """
-
-    sum_tp_gt: float
-    sum_tp_pred: float
-    sum_fp_pred: float
-    sum_fn_gt: float
-    n_tp: int
-    n_fp: int
-    n_fn: int
-
-
-@dataclass(frozen=True)
 class CurvePoint:
     threshold: float
     precision: float
     recall: float
     p_r: float
     r_s: float
+
+
+# The arrays of a curve, one entry per cut, highest threshold first.
+CURVE_FIELDS = ("threshold", "precision", "recall", "p_r", "r_s")
+
+
+def _points(arrays: Sequence[np.ndarray]) -> list[CurvePoint]:
+    return [CurvePoint(*pt) for pt in zip(*(a.tolist() for a in arrays))]
 
 
 def _ratio(num: np.ndarray, den: np.ndarray | float) -> np.ndarray:
@@ -76,29 +67,6 @@ def _ratio(num: np.ndarray, den: np.ndarray | float) -> np.ndarray:
     np.minimum(num, 1.0, out=num)
     np.copyto(num, 1.0, where=np.asarray(den) == 0.0)
     return num
-
-
-def _scalar_ratios(num: tuple[float, float], den: tuple[float, float]) -> tuple[float, float]:
-    a, b = _ratio(np.array(num, dtype=np.float64), np.array(den, dtype=np.float64))
-    return float(a), float(b)
-
-
-def classic_pr(counts: WeightedCounts) -> tuple[float, float]:
-    """Count-based precision and recall; empty ratios are vacuously 1."""
-    return _scalar_ratios((counts.n_tp, counts.n_tp),
-                          (counts.n_tp + counts.n_fp, counts.n_tp + counts.n_fn))
-
-
-def weighted_pr(counts: WeightedCounts) -> tuple[float, float]:
-    """Reliability-weighted precision and safety-weighted recall.
-
-    Ground-truth weights sit where the detector should not overstate
-    criticality (precision numerator, recall denominator); predicted
-    weights sit on the other side. Both measures are clamped to 1.
-    """
-    return _scalar_ratios((counts.sum_tp_gt, counts.sum_tp_pred),
-                          (counts.sum_tp_pred + counts.sum_fp_pred,
-                           counts.sum_tp_gt + counts.sum_fn_gt))
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -253,8 +221,8 @@ class CurveAccumulator:
         ``p_r`` and ``r_s`` are 1-D for ``cfg``. With ``t_values`` they have
         one row per value, for ``cfg`` with that ``t_max``: the cap-separable
         component scores are computed once for the whole batch. Every row
-        equals the 1-row result bit for bit. The classic arrays are shared
-        and read-only.
+        equals the 1-row result bit for bit. All arrays are read-only; the
+        classic ones are shared.
 
         The safety-weighted recall denominator is the total ground-truth
         weight, which does not depend on the threshold, so the recall side
@@ -276,14 +244,12 @@ class CurveAccumulator:
         r_s = _ratio(cum_tp_pred, total_gt)
         if t_values is None:
             p_r, r_s = p_r[0], r_s[0]
+        p_r.flags.writeable = r_s.flags.writeable = False
         return (*self._classic, p_r, r_s)
 
     def curve(self, cfg: CriticalityConfig) -> list[CurvePoint]:
         """One operating point per cut, highest threshold first."""
-        return [
-            CurvePoint(float(t), float(p), float(r), float(pr), float(rs))
-            for t, p, r, pr, rs in zip(*self.curve_arrays(cfg))
-        ]
+        return _points(self.curve_arrays(cfg))
 
 
 def build_curve(
@@ -375,20 +341,23 @@ def ap_from_arrays(ap_style: str, r: np.ndarray, p: np.ndarray) -> float:
     return _ap_paper_arrays(r, p) if ap_style == "paper" else _ap_devkit_arrays(r, p)
 
 
+def _recall_grid(recall: np.ndarray, precision: np.ndarray, r_s: np.ndarray, p_r: np.ndarray,
+                 step: float = 0.01) -> dict[str, Any]:
+    grid = np.linspace(0.0, 1.0, round(1.0 / step) + 1)
+    out: dict[str, Any] = {"step": step, "grid": grid.tolist()}
+    for key, r, p in (("precision", recall, precision), ("p_r", r_s, p_r)):
+        values = np.interp(grid, r, p, right=0.0) if len(r) else np.zeros(len(grid))
+        out[key] = values.tolist()
+    return out
+
+
 def resample_curve(curve: Sequence[CurvePoint], step: float = 0.01) -> dict[str, Any]:
     """Reporting view of a curve on a fixed recall grid (plots only).
 
     Interpolates precision over recall and weighted precision over
     weighted recall; beyond the achieved recall the value is 0.
     """
-    n = round(1.0 / step)
-    grid = np.linspace(0.0, 1.0, n + 1)
-    out: dict[str, Any] = {"step": step, "grid": [float(g) for g in grid]}
-    for key, use_weighted in (("precision", False), ("p_r", True)):
-        r, p = _curve_arrays(curve, use_weighted)
-        values = np.interp(grid, r, p, right=0.0) if len(r) else np.zeros(len(grid))
-        out[key] = [float(v) for v in values]
-    return out
+    return _recall_grid(*_curve_arrays(curve, False), *_curve_arrays(curve, True), step)
 
 
 @dataclass(frozen=True)
@@ -396,8 +365,13 @@ class LimitResult:
     distance_limit: float
     ap: float
     ap_crit: float
-    curve: list[CurvePoint]
+    arrays: tuple[np.ndarray, ...]  # the read-only curve, as CURVE_FIELDS
     resampled: dict[str, Any]
+
+    @property
+    def curve(self) -> list[CurvePoint]:
+        """The operating points of ``arrays``, built on each access."""
+        return _points(self.arrays)
 
 
 @dataclass(frozen=True)
@@ -409,14 +383,10 @@ class EvaluationReport:
     results: list[LimitResult]
     ingest: dict[str, Any]
 
-    def to_dict(self) -> dict[str, Any]:
+    def _as_dict(self, curves: Sequence[Any]) -> dict[str, Any]:
         return {
             "class": self.class_name,
-            "criticality_config": {
-                "d_max": self.config.d_max,
-                "r_max": self.config.r_max,
-                "t_max": self.config.t_max,
-            },
+            "criticality_config": asdict(self.config),
             "ap_style": self.ap_style,
             "max_range": self.max_range,
             "ingest": self.ingest,
@@ -425,21 +395,16 @@ class EvaluationReport:
                     "distance_limit": res.distance_limit,
                     "ap": res.ap,
                     "ap_crit": res.ap_crit,
-                    "curve": [
-                        {
-                            "threshold": pt.threshold,
-                            "precision": pt.precision,
-                            "recall": pt.recall,
-                            "p_r": pt.p_r,
-                            "r_s": pt.r_s,
-                        }
-                        for pt in res.curve
-                    ],
+                    "curve": curve,
                     "curve_recall_grid": res.resampled,
                 }
-                for res in self.results
+                for res, curve in zip(self.results, curves)
             ],
         }
+
+    def to_dict(self) -> dict[str, Any]:
+        rows = (zip(*(a.tolist() for a in res.arrays)) for res in self.results)
+        return self._as_dict([[dict(zip(CURVE_FIELDS, pt)) for pt in curve] for curve in rows])
 
 
 def evaluate_detector(
@@ -457,18 +422,19 @@ def evaluate_detector(
     Runs on one thread; ``workers`` is accepted for compatibility and ignored.
     """
     detections = list(detections)
-    ap_fn = ap_function(ap_style)
+    ap_function(ap_style)  # rejects an unknown style before any work
     results = []
     for distance_limit in dist_limits:
-        curve = build_curve(dataset, detections, class_name, distance_limit, cfg,
-                            max_range=max_range)
+        acc = CurveAccumulator(dataset, detections, class_name, distance_limit, max_range)
+        arrays = acc.curve_arrays(cfg)
+        _, precision, recall, p_r, r_s = arrays
         results.append(
             LimitResult(
                 distance_limit=distance_limit,
-                ap=ap_fn(curve, False),
-                ap_crit=ap_fn(curve, True),
-                curve=curve,
-                resampled=resample_curve(curve),
+                ap=ap_from_arrays(ap_style, recall, precision),
+                ap_crit=ap_from_arrays(ap_style, r_s, p_r),
+                arrays=arrays,
+                resampled=_recall_grid(recall, precision, r_s, p_r),
             )
         )
     return EvaluationReport(
@@ -481,18 +447,41 @@ def evaluate_detector(
     )
 
 
-def write_curve_csv(curve: Sequence[CurvePoint], path: str | Path) -> None:
-    """One row per operating point, six decimal digits."""
+_CHUNK_ROWS = 4096
+# A curve point as json.dump(indent=2, sort_keys=True) lays it out at
+# results[i].curve[j], after its line break: keys sorted, each value by float.__repr__.
+_JSON_KEYS = sorted(CURVE_FIELDS)
+_JSON_POINT = "\n        {\n%s\n        }" % ",\n".join(f'          "{k}": %r' for k in _JSON_KEYS)
+
+
+def _formatted(columns: Sequence[np.ndarray], row: str, sep: str) -> Iterable[str]:
+    """``sep.join(row % values)`` over the rows of ``columns``, a few thousand rows at a time."""
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        block = np.column_stack([c[start:start + _CHUNK_ROWS] for c in columns])
+        yield (sep if start else "") + sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+
+
+def write_curve_csv(arrays: Sequence[np.ndarray], path: str | Path) -> None:
+    """One row per operating point of the CURVE_FIELDS arrays, six decimals."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["threshold", "precision", "recall", "p_r", "r_s"])
-        for pt in curve:
-            writer.writerow(
-                [
-                    f"{pt.threshold:.6f}",
-                    f"{pt.precision:.6f}",
-                    f"{pt.recall:.6f}",
-                    f"{pt.p_r:.6f}",
-                    f"{pt.r_s:.6f}",
-                ]
-            )
+        f.write("threshold,precision,recall,p_r,r_s\r\n")
+        f.writelines(_formatted(arrays, "%.6f,%.6f,%.6f,%.6f,%.6f\r\n", ""))
+
+
+def write_report_json(report: EvaluationReport, path: str | Path) -> None:
+    """``model.dump_json(report.to_dict(), path)`` byte for byte, curves streamed.
+
+    An unquoted ``"curve": null`` can only be a curve's placeholder, as
+    ``json`` escapes every ``"`` in a string. Curve values are finite, so
+    ``%r`` writes them as ``json`` does.
+    """
+    text = json.dumps(report._as_dict([None] * len(report.results)), indent=2, sort_keys=True)
+    parts = text.split('"curve": null')
+    with open(path, "w") as f:
+        f.write(parts[0])
+        for res, rest in zip(report.results, parts[1:]):
+            f.write('"curve": [')
+            f.writelines(_formatted([res.arrays[CURVE_FIELDS.index(k)] for k in _JSON_KEYS],
+                                    _JSON_POINT, ","))
+            f.write(("\n      ]" if len(res.arrays[0]) else "]") + rest)
+        f.write("\n")

@@ -24,6 +24,7 @@ from .model import (
     _finite,
     _point,
     _require,
+    _size,
     _velocity,
 )
 
@@ -269,23 +270,33 @@ def brute_force_cpa(
 # JSON forms accepted by the CLI.
 
 
+def _integer(value: Any, path: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise IngestError(f"{path}: expected an integer, got {value!r}") from None
+
+
 def scenario_from_dict(data: Any, path: str = "$") -> ScenarioSpec:
     """Scenario from its JSON form; errors name the offending location under ``path``."""
-    raw_frames = _require(data, "n_frames", path)
-    try:
-        n_frames = int(raw_frames)
-    except (TypeError, ValueError, OverflowError):
-        raise IngestError(f"{path}.n_frames: expected an integer, got {raw_frames!r}") from None
+    n_frames = _integer(_require(data, "n_frames", path), f"{path}.n_frames")
     ego = _require(data, "ego", path)
+    objects_raw = data.get("objects", [])
+    if not isinstance(objects_raw, list):
+        raise IngestError(f"{path}.objects: expected a list")
     objects = []
-    for i, obj in enumerate(data.get("objects", [])):
+    for i, obj in enumerate(objects_raw):
         obj_path = f"{path}.objects[{i}]"
+        start = _point(_require(obj, "start", obj_path), f"{obj_path}.start")
+        size, class_name = obj.get("size"), obj.get("class", "car")
+        if not isinstance(class_name, str) or not class_name:
+            raise IngestError(f"{obj_path}.class: expected a nonempty string, got {class_name!r}")
         objects.append(
             ScenarioObject(
-                start=_point(_require(obj, "start", obj_path), f"{obj_path}.start"),
+                start=start,
                 velocity=_velocity(obj.get("velocity"), f"{obj_path}.velocity"),
-                class_name=obj.get("class", "car"),
-                size=tuple(obj.get("size", DEFAULT_OBJECT_SIZE)),
+                class_name=class_name,
+                size=DEFAULT_OBJECT_SIZE if size is None else _size(size, f"{obj_path}.size"),
                 object_id=obj.get("id"),
             )
         )
@@ -294,7 +305,7 @@ def scenario_from_dict(data: Any, path: str = "$") -> ScenarioSpec:
         ego_start=_point(_require(ego, "start", f"{path}.ego"), f"{path}.ego.start"),
         ego_velocity=_point(_require(ego, "velocity", f"{path}.ego"), f"{path}.ego.velocity"),
         objects=objects,
-        seed=int(data.get("seed", 0)),
+        seed=_integer(data.get("seed", 0), f"{path}.seed"),
         frame_prefix=str(data.get("frame_prefix", "frame")),
     )
 

@@ -1,13 +1,18 @@
-"""Shared builders for test scenarios."""
+"""Shared builders for test scenarios, and the oracles the tests compare against."""
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
+import json
 import math
+
+import numpy as np
 
 from criteval.criticality import CriticalityConfig, criticality_components
 from criteval.matching import MatchResult
-from criteval.metrics import WeightedCounts
+from criteval.metrics import CurvePoint, EvaluationReport, _ratio
 from criteval.model import Dataset, Detection, Frame, ObjectState, Vec2
 from criteval.synthgen import ScenarioObject, ScenarioSpec, SplitMix64, gen_dataset
 
@@ -32,6 +37,46 @@ def make_frame(frame_id="f0", timestamp=0.0, ego=None, objects=()) -> Frame:
     return Frame(frame_id, timestamp, ego if ego is not None else make_ego(), list(objects))
 
 
+@dataclasses.dataclass(frozen=True)
+class WeightedCounts:
+    """Criticality-weighted and raw tallies for one (limit, threshold) cut.
+
+    ``sum_tp_gt``/``sum_fn_gt`` sum ground-truth weights, ``sum_tp_pred``/
+    ``sum_fp_pred`` sum predicted-state weights.
+    """
+
+    sum_tp_gt: float
+    sum_tp_pred: float
+    sum_fp_pred: float
+    sum_fn_gt: float
+    n_tp: int
+    n_fp: int
+    n_fn: int
+
+
+def _scalar_ratios(num: tuple[float, float], den: tuple[float, float]) -> tuple[float, float]:
+    a, b = _ratio(np.array(num, dtype=np.float64), np.array(den, dtype=np.float64))
+    return float(a), float(b)
+
+
+def classic_pr(counts: WeightedCounts) -> tuple[float, float]:
+    """Count-based precision and recall through the kernel's ratio rule."""
+    return _scalar_ratios((counts.n_tp, counts.n_tp),
+                          (counts.n_tp + counts.n_fp, counts.n_tp + counts.n_fn))
+
+
+def weighted_pr(counts: WeightedCounts) -> tuple[float, float]:
+    """Reliability-weighted precision and safety-weighted recall, clamped to 1.
+
+    Ground-truth weights sit where the detector should not overstate
+    criticality (precision numerator, recall denominator); predicted
+    weights sit on the other side.
+    """
+    return _scalar_ratios((counts.sum_tp_gt, counts.sum_tp_pred),
+                          (counts.sum_tp_pred + counts.sum_fp_pred,
+                           counts.sum_tp_gt + counts.sum_fn_gt))
+
+
 def counts_from_match(match: MatchResult, ego: ObjectState, cfg: CriticalityConfig) -> WeightedCounts:
     """Weighted counts for a single matched frame from scalar kappa (test oracle)."""
     kappa = lambda obj: criticality_components(ego, obj, cfg).kappa
@@ -44,6 +89,29 @@ def counts_from_match(match: MatchResult, ego: ObjectState, cfg: CriticalityConf
         n_fp=len(match.fp),
         n_fn=len(match.fn),
     )
+
+
+def curve_csv_oracle(curve: list[CurvePoint]) -> bytes:
+    """A curve CSV as ``csv.writer`` lays it out, six decimals per value (test oracle)."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["threshold", "precision", "recall", "p_r", "r_s"])
+    for pt in curve:
+        writer.writerow(
+            [
+                f"{pt.threshold:.6f}",
+                f"{pt.precision:.6f}",
+                f"{pt.recall:.6f}",
+                f"{pt.p_r:.6f}",
+                f"{pt.r_s:.6f}",
+            ]
+        )
+    return buf.getvalue().encode()
+
+
+def report_json_oracle(report: EvaluationReport) -> bytes:
+    """``report.json`` as ``model.dump_json(report.to_dict(), path)`` writes it (test oracle)."""
+    return (json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n").encode()
 
 
 def without_velocities(

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from criteval.cli import main
 from criteval.criticality import (
     CriticalityConfig,
     combine,
@@ -22,15 +23,14 @@ from criteval.criticality import (
     parabolic_score,
 )
 from criteval.geometry import closest_approach, relative_velocity
-from criteval.metrics import (
-    WeightedCounts,
-    average_precision,
-    build_curve,
-    devkit_average_precision,
-    weighted_pr,
+from criteval.metrics import CurvePoint, average_precision, build_curve, devkit_average_precision
+from criteval.model import (
+    dataset_to_dict,
+    detections_to_dict,
+    dump_json,
+    load_detections,
+    load_ground_truth,
 )
-from criteval.metrics import CurvePoint
-from criteval.model import dump_json, load_detections, load_ground_truth
 from criteval.render import render_birdview
 from criteval.sweep import default_grid, evaluate_sweep, rankings_report, write_sweep_csv
 from criteval.synthgen import (
@@ -43,12 +43,14 @@ from criteval.synthgen import (
 )
 
 from helpers import (
+    WeightedCounts,
     approaching_pairs,
     divergence_scenario,
     make_ego,
     make_state,
     random_scenario_spec,
     sweep_dataset_and_detectors,
+    weighted_pr,
     without_velocities,
 )
 
@@ -257,6 +259,42 @@ def test_sweep_determinism_across_workers(tmp_path):
     assert hashlib.sha256(outputs[0][1]).hexdigest() == RANKINGS_SHA256
     assert len(rows) == 2 * 4 * 1500
     _passed("sweep determinism (1500 configs x 2 detectors, workers 1/4/8, golden digests)")
+
+
+# SHA-256 of every file `criteval evaluate` writes for this corpus at (20, 20, 8),
+# recorded while report.json was still written by json.dump and the curve
+# CSVs by csv.writer.
+EVALUATE_SHA256 = {
+    "farblind": {
+        "curve_car_l0.5.csv": "9560b04c8ba6d3917725dd8f55d5c0de7dc965c02c63667d4dea4abc82103f8b",
+        "curve_car_l1.csv": "b227eff701deee6cabf7e1e845a819401564f3fa866e853976ca78583dae3833",
+        "curve_car_l2.csv": "c645f4b56461c47f69a86c9c73aa269292b2416897f3ac2cd71556108bebb0dd",
+        "curve_car_l4.csv": "081c9a7bfe391f13d3989f3280f8c099b7ab717195adf471332429fa2d8f4b64",
+        "report.json": "6e91e105bd4206633edd8a30af69428a2b97573800046ecee752e0d1147aeffb",
+    },
+    "nearblind": {
+        "curve_car_l0.5.csv": "41b3aea694a47eca715b5dcb0482f6ed7ee890032e3d96b7ba71bc2daf21db66",
+        "curve_car_l1.csv": "52bb2b3d3cac42e44b7b7753ecbfc53e927413ddc514bf4a771041e637fff567",
+        "curve_car_l2.csv": "6b61cb6410b91a2f005150b406da899942e901a40290c9049233a1d666370cd8",
+        "curve_car_l4.csv": "6b61cb6410b91a2f005150b406da899942e901a40290c9049233a1d666370cd8",
+        "report.json": "d3df17db35d6b9ce99fa8518b156edb15b70698df942c29e76c490b319855782",
+    },
+}
+
+
+def test_evaluate_golden_digests(tmp_path):
+    dataset, detectors = sweep_dataset_and_detectors()
+    gt = tmp_path / "gt.json"
+    dump_json(dataset_to_dict(dataset), gt)
+    for name, detections in detectors.items():
+        pred = tmp_path / f"{name}.json"
+        dump_json(detections_to_dict(detections), pred)
+        out = tmp_path / f"out_{name}"
+        assert main(["evaluate", "--gt", str(gt), "--pred", str(pred), "--dmax", "20",
+                     "--rmax", "20", "--tmax", "8", "--out", str(out)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == EVALUATE_SHA256[name]
+    _passed("evaluate golden digests (report.json + 4 curve CSVs x 2 detectors)")
 
 
 def test_birdview_snapshot_and_label_consistency():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from criteval import metrics, model
 from criteval.cli import main
 from criteval.model import dataset_to_dict, detections_to_dict, dump_json
 from criteval.synthgen import gen_dataset
@@ -67,6 +68,21 @@ def test_evaluate_byte_identical_reruns(synthetic_inputs, tmp_path):
             ((out / "report.json").read_bytes(), (out / "curve_car_l1.csv").read_bytes())
         )
     assert outputs[0] == outputs[1]
+
+
+def test_evaluate_builds_no_per_point_objects(synthetic_inputs, tmp_path, monkeypatch):
+    """The CLI streams curves from the kernel arrays: no CurvePoint, no curve dicts, no json.dump."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-point work on the evaluate path")
+
+    monkeypatch.setattr(metrics, "CurvePoint", forbidden)
+    monkeypatch.setattr(metrics.EvaluationReport, "to_dict", forbidden)
+    monkeypatch.setattr(model, "dump_json", forbidden)
+    gt, pred = synthetic_inputs
+    out = tmp_path / "out"
+    assert main(["evaluate", "--gt", str(gt), "--pred", str(pred),
+                 "--dmax", "20", "--rmax", "20", "--tmax", "8", "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["results"][0]["curve"]
 
 
 def test_evaluate_missing_file_exits_one(tmp_path, capsys):
@@ -215,6 +231,32 @@ def test_generate_bad_detector_spec_exits_one(tmp_path, capsys, detectors, messa
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (("objects", 0, "size"), 3, "$.scenario.objects[0].size: expected [width, length]"),
+        (("objects", 0, "size"), [2, "w"], "$.scenario.objects[0].size[1]: expected a number"),
+        (("objects", 0, "size"), [0, 4], "$.scenario.objects[0].size: size components must be positive"),
+        (("seed",), "x", "$.scenario.seed: expected an integer, got 'x'"),
+        (("seed",), None, "$.scenario.seed: expected an integer, got None"),
+        (("objects", 0, "class"), 5, "$.scenario.objects[0].class: expected a nonempty string, got 5"),
+        (("objects", 0, "class"), "", "$.scenario.objects[0].class: expected a nonempty string, got ''"),
+        (("objects",), 5, "$.scenario.objects: expected a list"),
+        (("objects", 0), 5, "$.scenario.objects[0]: expected an object"),
+    ],
+)
+def test_generate_bad_scenario_field_exits_one(tmp_path, capsys, field, value, message):
+    scenario = json.loads(json.dumps(_SPEC))
+    parent = scenario
+    for key in field[:-1]:
+        parent = parent[key]
+    parent[field[-1]] = value
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"scenario": scenario}))
+    assert main(["generate", "--spec", str(spec_path), "--out", str(tmp_path / "g")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_generate_integer_miss_probability_is_a_constant(tmp_path):
     spec_path = tmp_path / "spec.json"
     for name, miss in (("int", 0), ("float", 0.0)):
@@ -231,6 +273,17 @@ def test_rank_absent_limit_names_it_and_the_limits_present(tmp_path, capsys):
         code = main(["rank", "--table", str(table), "--metric", "ap", "--l", "3", *extra])
         assert code == 1
         assert f"{table}: no rows with l=3; limits present: 1, 2" in capsys.readouterr().err
+
+
+def test_rank_absent_config_names_it_and_the_configs_present(tmp_path, capsys):
+    table = tmp_path / "sweep.csv"
+    rows = [f"a,car,1.0,{d}.0,20.0,{t}.0,0.5,0.4" for d in (10, 20) for t in (2, 4, 8)]
+    table.write_text("detector,class,l,d_max,r_max,t_max,ap,ap_crit\n" + "\n".join(rows) + "\n")
+    code = main(["rank", "--table", str(table), "--metric", "ap", "--config", "5,5,5"])
+    assert code == 1
+    assert (f"{table}: no rows with l=1 and config 5,5,5; configs present (6): "
+            "10,20,2; 10,20,4; 10,20,8; 20,20,2; 20,20,4; ...") in capsys.readouterr().err
+    assert main(["rank", "--table", str(table), "--metric", "ap", "--config", "20,20,4"]) == 0
 
 
 def test_generate_writes_gt_and_detector_files(tmp_path):

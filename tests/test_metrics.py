@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from criteval import metrics
 from criteval.criticality import (
     CASE_MISSING_VELOCITY,
     CASE_NONFINITE_TIME,
@@ -21,27 +22,33 @@ from criteval.matching import match_frame
 from criteval.metrics import (
     CurveAccumulator,
     CurvePoint,
-    WeightedCounts,
+    EvaluationReport,
+    LimitResult,
     _ScoreTerms,
     average_precision,
     build_curve,
-    classic_pr,
     devkit_average_precision,
+    evaluate_detector,
     resample_curve,
-    weighted_pr,
     worker_count,
     write_curve_csv,
+    write_report_json,
 )
 from criteval.model import Dataset, Detection, Vec2
 from criteval.synthgen import ErrorModel, corrupt, gen_dataset
 
 from helpers import (
+    WeightedCounts,
+    classic_pr,
     counts_from_match,
+    curve_csv_oracle,
     make_ego,
     make_frame,
     make_state,
     perfect_detections,
     random_scenario_spec,
+    report_json_oracle,
+    weighted_pr,
     without_velocities,
 )
 
@@ -345,12 +352,81 @@ def test_resample_curve_grid():
 
 
 def test_write_curve_csv(tmp_path):
-    curve = [CurvePoint(0.9, 1.0, 0.25, 0.875, 0.3)]
+    arrays = tuple(np.array([v]) for v in (0.9, 1.0, 0.25, 0.875, 0.3))
     path = tmp_path / "curve.csv"
-    write_curve_csv(curve, path)
+    write_curve_csv(arrays, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "threshold,precision,recall,p_r,r_s"
     assert lines[1] == "0.900000,1.000000,0.250000,0.875000,0.300000"
+
+
+# Values whose repr takes an exponent or 17 significant digits, plus any finite float.
+writer_floats = st.one_of(
+    st.sampled_from([1e-07, 0.30000000000000004, 5e-324, 1.0, 0.0, -0.0, 1e16]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+class_names = st.one_of(st.just('c"a\\r \u00e9\u8eca'), st.text(max_size=8))
+
+
+@st.composite
+def evaluation_reports(draw):
+    results = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        n = draw(st.integers(min_value=0, max_value=9))
+        arrays = tuple(np.array(draw(st.lists(writer_floats, min_size=n, max_size=n)),
+                                dtype=np.float64) for _ in range(5))
+        grid = draw(st.lists(writer_floats, max_size=3))
+        results.append(LimitResult(draw(writer_floats), draw(writer_floats), draw(writer_floats),
+                                   arrays, {"grid": grid, "step": 0.01}))
+    return EvaluationReport(
+        class_name=draw(class_names),
+        config=draw(st.builds(CriticalityConfig, *[st.floats(min_value=1e-9, max_value=1e9)] * 3)),
+        ap_style=draw(st.sampled_from(["paper", "devkit"])),
+        max_range=draw(writer_floats),
+        results=results,
+        ingest={"n_frames": 1, "unknown_frame_ids": draw(st.lists(class_names, max_size=2))},
+    )
+
+
+@given(report=evaluation_reports(), chunk_rows=st.integers(min_value=1, max_value=4))
+@settings(max_examples=100, deadline=None)
+def test_writers_match_their_oracles_byte_for_byte(tmp_path_factory, report, chunk_rows):
+    out = tmp_path_factory.mktemp("writers")
+    saved, metrics._CHUNK_ROWS = metrics._CHUNK_ROWS, chunk_rows
+    try:
+        write_report_json(report, out / "report.json")
+        for i, res in enumerate(report.results):
+            write_curve_csv(res.arrays, out / f"curve{i}.csv")
+    finally:
+        metrics._CHUNK_ROWS = saved
+    assert (out / "report.json").read_bytes() == report_json_oracle(report)
+    for i, res in enumerate(report.results):
+        assert (out / f"curve{i}.csv").read_bytes() == curve_csv_oracle(res.curve)
+        curve = report.to_dict()["results"][i]["curve"]
+        assert [CurvePoint(**pt) for pt in curve] == res.curve
+
+
+def test_writers_match_their_oracles_on_kernel_curves(tmp_path):
+    """Vacuous one-point curves and curves longer than one write chunk, from the kernel."""
+    dataset = gen_dataset(random_scenario_spec(seed=21, n_frames=6))
+    detections = corrupt(dataset, ErrorModel(fp_rate_per_frame=3.0), seed=22)
+    name = 'c"a\\r \u00e9'
+    copies = detections * (2 * metrics._CHUNK_ROWS // len(detections) + 1)
+    detections += [dataclasses.replace(d, state=dataclasses.replace(d.state, class_name=name),
+                                       confidence=i / len(copies))
+                   for i, d in enumerate(copies)]
+    for class_name, dets in (("car", []), ("car", detections), (name, detections)):
+        report = evaluate_detector(dataset, dets, class_name, [0.5, 1.0, 2.0], CFG)
+        write_report_json(report, tmp_path / "report.json")
+        assert (tmp_path / "report.json").read_bytes() == report_json_oracle(report)
+        for res in report.results:
+            write_curve_csv(res.arrays, tmp_path / "curve.csv")
+            assert (tmp_path / "curve.csv").read_bytes() == curve_csv_oracle(res.curve)
+        n_points = {len(res.curve) for res in report.results}
+        if not dets:
+            assert [res.curve for res in report.results] == [[CurvePoint(1.0, 1.0, 0.0, 1.0, 0.0)]] * 3
+        elif class_name == name:
+            assert min(n_points) > metrics._CHUNK_ROWS
 
 
 def test_worker_count_env(monkeypatch):
