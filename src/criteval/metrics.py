@@ -3,16 +3,18 @@
 Curves are built over the distinct confidence values present in the
 detections, evaluated from high to low, with one set of counts
 accumulated over the whole dataset per threshold; with no detections a
-curve is one vacuous point at threshold 1.0. Matching and approach
-geometry do not depend on the criticality caps, so
-:class:`CurveAccumulator` computes them once and reweights cheaply for
-any number of configurations.
+curve is one vacuous point at threshold 1.0. Approach geometry depends
+neither on the criticality caps nor on the distance limit, and matching
+only on the limit, so :class:`CurveAccumulator` filters and classifies
+each object once per (detector, class), matches once per limit, and
+reweights cheaply for any number of configurations.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from array import array
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -41,6 +43,8 @@ DEFAULT_EVAL_RANGE = 50.0
 AP_MIN_RECALL = 0.1
 AP_MIN_PRECISION = 0.1
 AP_STYLES = ("paper", "devkit")
+# Recall values 0, 0.01, ..., 1: devkit AP's interpolation points and the report's recall grid.
+_RECALL_GRID = np.linspace(0.0, 1.0, 101)
 
 
 @dataclass(frozen=True)
@@ -112,48 +116,48 @@ class _ScoreTerms:
             case == CASE_MISSING_VELOCITY, 1.0, np.where(nonfinite, NONFINITE_TIME_SCORE, 0.0)
         )
 
-    def _complement(self, neg_sq: np.ndarray, cap, scored: np.ndarray | None, out=None):
+    def _complement(self, neg_sq: np.ndarray, cap, scored: np.ndarray | None):
         """``1 - score`` per object (one row per cap if ``cap`` is a column)."""
         with np.errstate(over="ignore", invalid="ignore"):
-            score = np.divide(neg_sq, cap * cap, out=out)
+            score = np.divide(neg_sq, cap * cap)
             score += 1.0
             np.maximum(score, 0.0, out=score)
         if scored is not None:
             np.copyto(score, self._fixed, where=~scored)
         return np.subtract(1.0, score, out=score)
 
-    def kappa_rows(self, d_max: float, r_max: float, t_values: np.ndarray,
-                   pad: int = 0) -> np.ndarray:
-        """``1 - (1-kd)(1-kr)(1-kt)`` per object, one row per t_max, after ``pad`` zero columns."""
-        out = np.zeros((len(t_values), pad + len(self._fixed)))
-        kappa = out[:, pad:]
+    def kappa_rows(self, d_max: float, r_max: float, t_values: np.ndarray) -> np.ndarray:
+        """``1 - (1-kd)(1-kr)(1-kt)`` per object, one row per t_max."""
         not_dr = self._complement(self._neg_sq_b, d_max, None)
         not_dr *= self._complement(self._neg_sq_c, r_max, self._scored_r)
-        self._complement(self._neg_sq_t, t_values[:, None], self._scored_t, out=kappa)
+        kappa = self._complement(self._neg_sq_t, t_values[:, None], self._scored_t)
         kappa *= not_dr
-        np.subtract(1.0, kappa, out=kappa)
-        return out
+        return np.subtract(1.0, kappa, out=kappa)
 
 
-def _running_sums(padded: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Row-wise running sums after ``counts[g]`` entries; column 0 must be zero.
+def _running_sums(values: np.ndarray, columns: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Row-wise running sums of ``values[:, columns]`` after ``counts[g]`` columns (0 after none).
 
-    The cumulative sum runs in place. Skipping the other class's entries
-    leaves each sum as it would be with zeros in their places.
+    The sums run in place after a zero column, so skipping the other
+    columns of a row leaves each sum as it would be with zeros in their places.
     """
-    np.cumsum(padded, axis=1, out=padded)
-    return padded[:, counts]
+    sums = np.zeros((len(values), len(columns) + 1))
+    # The columns are valid indices; "clip" gathers without the buffer that "raise" takes.
+    np.take(values, columns, axis=1, out=sums[:, 1:], mode="clip")
+    np.cumsum(sums, axis=1, out=sums)
+    return sums[:, counts]
 
 
 class CurveAccumulator:
-    """Per-(detector, distance limit) cache of matches and approach geometry.
+    """Per-(detector, class) cache of approach geometry and of the matches at each limit.
 
-    Frames are processed in sorted frame_id order and predictions kept in a
-    fixed global order (descending confidence, then frame_id, then within-
-    frame rank), so repeated evaluations are bit-reproducible. Each cut of
-    the curve keeps the highest-confidence predictions down to one distinct
-    confidence; with no predictions there is one cut, at threshold 1.0,
-    that keeps none.
+    Each object is range-filtered and classified once; only matching runs
+    once per distance limit. Frames are processed in sorted frame_id order
+    and predictions kept in a fixed global order (descending confidence,
+    then frame_id, then within-frame rank), so repeated evaluations are
+    bit-reproducible. Each cut of a curve keeps the highest-confidence
+    predictions down to one distinct confidence; with no predictions there
+    is one cut, at threshold 1.0, that keeps none.
     """
 
     def __init__(
@@ -161,68 +165,69 @@ class CurveAccumulator:
         dataset: Dataset,
         detections: Iterable[Detection],
         class_name: str,
-        distance_limit: float,
+        dist_limits: Iterable[float],
         max_range: float = DEFAULT_EVAL_RANGE,
     ):
-        if not distance_limit > 0:
-            raise ValueError(f"distance_limit must be positive, got {distance_limit}")
-        self.class_name = class_name
-        self.distance_limit = distance_limit
-        self.max_range = max_range
+        limits = self.dist_limits = tuple(dist_limits)
+        if not (limits and all(limit > 0 for limit in limits) and len(set(limits)) == len(limits)):
+            raise ValueError("distance limits must be nonempty, positive and distinct, got "
+                             + (", ".join(map(repr, limits)) or "none"))
 
         grouped = detections_by_frame(detections)
         gt_rows: list[tuple[int, float, float, float]] = []
-        # One row per prediction: the four classify() fields, then confidence,
-        # frame_id, within-frame rank and the matched ground truth (-1 if none).
-        entries: list[tuple] = []
+        pred_rows: list[tuple[int, float, float, float]] = []
+        conf: list[float] = []
+        # The matched ground truth (-1 if none) of each prediction, one array per limit.
+        matches = [array("q") for _ in limits]
         for frame in sorted(dataset.frames, key=lambda f: f.frame_id):
             sub, dets = select_class(frame, grouped.get(frame.frame_id, []), class_name)
             sub, dets = filter_eval_range(sub, dets, max_range)
             base = len(gt_rows)
             gt_rows.extend(classify(sub.ego, gt) for gt in sub.ground_truth)
-            assignment = greedy_assign(sub.ground_truth, dets, distance_limit)
-            for rank, (det, j) in enumerate(assignment):
-                gt_index = base + j if j is not None else -1
-                entries.append((*classify(sub.ego, det.state), det.confidence, sub.frame_id,
-                                rank, gt_index))
-        entries.sort(key=lambda e: (-e[4], e[5], e[6]))
-        tp = [e for e in entries if e[7] >= 0]
-        fp = [e for e in entries if e[7] < 0]
+            # Within-frame rank order; greedy_assign keeps it, as its sort is stable.
+            dets.sort(key=lambda d: -d.confidence)
+            pred_rows.extend(classify(sub.ego, det.state) for det in dets)
+            conf.extend(det.confidence for det in dets)
+            for match, limit in zip(matches, limits):
+                match.extend(-1 if j is None else base + j
+                             for _, j in greedy_assign(sub.ground_truth, dets, limit))
+        # Frames come in frame_id order, so a stable sort makes the global order.
+        order = np.argsort(-np.array(conf, dtype=np.float64), kind="stable")
 
         self.n_gt = len(gt_rows)
         self._gt = _ScoreTerms(gt_rows)
-        # Predictions split into true and false positives, each in global order.
-        self._tp = _ScoreTerms(tp)
-        self._fp = _ScoreTerms(fp)
-        self._tp_gt = np.array([e[7] for e in tp], dtype=np.int64)
-        self._conf = np.array([e[4] for e in entries], dtype=np.float64)
-        if entries:
+        self._pred = _ScoreTerms([pred_rows[i] for i in order])
+        self._conf = np.array(conf, dtype=np.float64)[order]
+        if len(order):
             ends = np.flatnonzero(np.append(np.diff(self._conf) != 0.0, True))
             n_kept, thresholds = ends + 1, self._conf[ends]
         else:
             n_kept, thresholds = np.zeros(1, dtype=np.int64), np.ones(1)
-        tp_seen = np.cumsum([0] + [e[7] >= 0 for e in entries], dtype=np.int64)
-        self._tp_at_cut = tp_seen[n_kept]
-        self._fp_at_cut = n_kept - self._tp_at_cut
-        cum_tp = self._tp_at_cut.astype(np.float64)
-        self._classic = (
-            thresholds,
-            _ratio(cum_tp.copy(), n_kept.astype(np.float64)),
-            _ratio(cum_tp, float(self.n_gt)),
-        )
-        for array in self._classic:
-            array.flags.writeable = False
+        # Per limit: true and false positives (as indices in global order), the
+        # ground truth each true positive matched, and both counts at each cut.
+        self._splits = []
+        for match in matches:
+            gt_index = np.frombuffer(match, dtype=np.int64)[order]
+            is_tp = gt_index >= 0
+            tp_at_cut = np.concatenate(([0], np.cumsum(is_tp)))[n_kept]
+            cum_tp = tp_at_cut.astype(np.float64)
+            classic = (thresholds, _ratio(cum_tp.copy(), n_kept.astype(np.float64)),
+                       _ratio(cum_tp, float(self.n_gt)))
+            for values in classic:
+                values.flags.writeable = False
+            self._splits.append((np.flatnonzero(is_tp), np.flatnonzero(~is_tp), gt_index[is_tp],
+                                 tp_at_cut, n_kept - tp_at_cut, classic))
 
     def curve_arrays(
         self, cfg: CriticalityConfig, t_values: Sequence[float] | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(threshold, precision, recall, p_r, r_s) arrays, highest threshold first.
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """(threshold, precision, recall, p_r, r_s) arrays per limit, highest threshold first.
 
         ``p_r`` and ``r_s`` are 1-D for ``cfg``. With ``t_values`` they have
         one row per value, for ``cfg`` with that ``t_max``: the cap-separable
-        component scores are computed once for the whole batch. Every row
-        equals the 1-row result bit for bit. All arrays are read-only; the
-        classic ones are shared.
+        component scores are computed once for the whole batch and every
+        limit. Every row equals the 1-row result bit for bit. All arrays are
+        read-only; the classic ones are shared.
 
         The safety-weighted recall denominator is the total ground-truth
         weight, which does not depend on the threshold, so the recall side
@@ -232,24 +237,29 @@ class CurveAccumulator:
         kgt = self._gt.kappa_rows(cfg.d_max, cfg.r_max, t)
         # The same pairwise sum as over a 1-D array, row by row.
         total_gt = np.array([row.sum() for row in kgt])[:, None]
-        tp_gt = np.zeros((len(t), len(self._tp_gt) + 1))
-        tp_gt[:, 1:] = kgt[:, self._tp_gt]
-        cum_tp_gt = _running_sums(tp_gt, self._tp_at_cut)
-        cum_tp_pred = _running_sums(self._tp.kappa_rows(cfg.d_max, cfg.r_max, t, pad=1),
-                                    self._tp_at_cut)
-        p_den = _running_sums(self._fp.kappa_rows(cfg.d_max, cfg.r_max, t, pad=1),
-                              self._fp_at_cut)
-        p_den += cum_tp_pred
-        p_r = _ratio(cum_tp_gt, p_den)
-        r_s = _ratio(cum_tp_pred, total_gt)
-        if t_values is None:
-            p_r, r_s = p_r[0], r_s[0]
-        p_r.flags.writeable = r_s.flags.writeable = False
-        return (*self._classic, p_r, r_s)
+        kpred = self._pred.kappa_rows(cfg.d_max, cfg.r_max, t)
+        # Prediction sums of every limit first, so kpred is freed before the ground-truth sums.
+        pred_sums = [(_running_sums(kpred, tp, tp_at_cut), _running_sums(kpred, fp, fp_at_cut))
+                     for tp, fp, _, tp_at_cut, fp_at_cut, _ in self._splits]
+        del kpred
+        curves = []
+        for _, _, tp_gt, tp_at_cut, _, classic in self._splits:
+            cum_tp_pred, p_den = pred_sums.pop(0)
+            cum_tp_gt = _running_sums(kgt, tp_gt, tp_at_cut)
+            p_den += cum_tp_pred
+            p_r = _ratio(cum_tp_gt, p_den)
+            r_s = _ratio(cum_tp_pred, total_gt)
+            if t_values is None:
+                p_r, r_s = p_r[0], r_s[0]
+            p_r.flags.writeable = r_s.flags.writeable = False
+            curves.append((*classic, p_r, r_s))
+        return curves
 
     def curve(self, cfg: CriticalityConfig) -> list[CurvePoint]:
-        """One operating point per cut, highest threshold first."""
-        return _points(self.curve_arrays(cfg))
+        """One operating point per cut, highest threshold first, of a one-limit accumulator."""
+        if len(self.dist_limits) != 1:
+            raise ValueError("curve() needs an accumulator of one distance limit")
+        return _points(self.curve_arrays(cfg)[0])
 
 
 def build_curve(
@@ -261,7 +271,7 @@ def build_curve(
     max_range: float = DEFAULT_EVAL_RANGE,
 ) -> list[CurvePoint]:
     """Operating points over the distinct confidences present in the detections."""
-    acc = CurveAccumulator(dataset, detections, class_name, distance_limit, max_range)
+    acc = CurveAccumulator(dataset, detections, class_name, [distance_limit], max_range)
     return acc.curve(cfg)
 
 
@@ -291,19 +301,13 @@ def _ap_paper_arrays(r: np.ndarray, p: np.ndarray) -> float:
     return float(np.sum((rk - prev) * pk))
 
 
-def _ap_devkit_arrays(
-    r: np.ndarray,
-    p: np.ndarray,
-    min_recall: float = AP_MIN_RECALL,
-    min_precision: float = AP_MIN_PRECISION,
-) -> float:
+def _ap_devkit_arrays(r: np.ndarray, p: np.ndarray) -> float:
     if len(r) == 0:
         return 0.0
-    grid = np.linspace(0.0, 1.0, 101)
-    prec = np.interp(grid, r, p, right=0.0)
-    prec = prec[round(100 * min_recall) + 1 :] - min_precision
+    prec = np.interp(_RECALL_GRID, r, p, right=0.0)
+    prec = prec[round(100 * AP_MIN_RECALL) + 1 :] - AP_MIN_PRECISION
     prec[prec < 0] = 0.0
-    return min(1.0, float(np.mean(prec)) / (1.0 - min_precision))
+    return min(1.0, float(np.mean(prec)) / (1.0 - AP_MIN_PRECISION))
 
 
 def average_precision(curve: Sequence[CurvePoint], use_weighted: bool = False) -> float:
@@ -316,16 +320,10 @@ def average_precision(curve: Sequence[CurvePoint], use_weighted: bool = False) -
     return _ap_paper_arrays(*_curve_arrays(curve, use_weighted))
 
 
-def devkit_average_precision(
-    curve: Sequence[CurvePoint],
-    use_weighted: bool = False,
-    min_recall: float = AP_MIN_RECALL,
-    min_precision: float = AP_MIN_PRECISION,
-) -> float:
+def devkit_average_precision(curve: Sequence[CurvePoint], use_weighted: bool = False) -> float:
     """nuScenes-devkit style AP: 101-point interpolation, floors subtracted,
     renormalized. Offered for comparability with published tables."""
-    r, p = _curve_arrays(curve, use_weighted)
-    return _ap_devkit_arrays(r, p, min_recall, min_precision)
+    return _ap_devkit_arrays(*_curve_arrays(curve, use_weighted))
 
 
 def ap_function(ap_style: str) -> Callable[[Sequence[CurvePoint], bool], float]:
@@ -341,23 +339,22 @@ def ap_from_arrays(ap_style: str, r: np.ndarray, p: np.ndarray) -> float:
     return _ap_paper_arrays(r, p) if ap_style == "paper" else _ap_devkit_arrays(r, p)
 
 
-def _recall_grid(recall: np.ndarray, precision: np.ndarray, r_s: np.ndarray, p_r: np.ndarray,
-                 step: float = 0.01) -> dict[str, Any]:
-    grid = np.linspace(0.0, 1.0, round(1.0 / step) + 1)
-    out: dict[str, Any] = {"step": step, "grid": grid.tolist()}
+def _recall_grid(recall: np.ndarray, precision: np.ndarray, r_s: np.ndarray,
+                 p_r: np.ndarray) -> dict[str, Any]:
+    out: dict[str, Any] = {"step": 0.01, "grid": _RECALL_GRID.tolist()}
     for key, r, p in (("precision", recall, precision), ("p_r", r_s, p_r)):
-        values = np.interp(grid, r, p, right=0.0) if len(r) else np.zeros(len(grid))
+        values = np.interp(_RECALL_GRID, r, p, right=0.0) if len(r) else np.zeros(len(_RECALL_GRID))
         out[key] = values.tolist()
     return out
 
 
-def resample_curve(curve: Sequence[CurvePoint], step: float = 0.01) -> dict[str, Any]:
-    """Reporting view of a curve on a fixed recall grid (plots only).
+def resample_curve(curve: Sequence[CurvePoint]) -> dict[str, Any]:
+    """Reporting view of a curve on the recall grid of step 0.01 (plots only).
 
     Interpolates precision over recall and weighted precision over
     weighted recall; beyond the achieved recall the value is 0.
     """
-    return _recall_grid(*_curve_arrays(curve, False), *_curve_arrays(curve, True), step)
+    return _recall_grid(*_curve_arrays(curve, False), *_curve_arrays(curve, True))
 
 
 @dataclass(frozen=True)
@@ -423,10 +420,9 @@ def evaluate_detector(
     """
     detections = list(detections)
     ap_function(ap_style)  # rejects an unknown style before any work
+    acc = CurveAccumulator(dataset, detections, class_name, dist_limits, max_range)
     results = []
-    for distance_limit in dist_limits:
-        acc = CurveAccumulator(dataset, detections, class_name, distance_limit, max_range)
-        arrays = acc.curve_arrays(cfg)
+    for distance_limit, arrays in zip(acc.dist_limits, acc.curve_arrays(cfg)):
         _, precision, recall, p_r, r_s = arrays
         results.append(
             LimitResult(

@@ -161,12 +161,15 @@ def _ego_state(obj: Any, path: str) -> ObjectState:
     return ObjectState(EGO_ID, EGO_ID, center, velocity, size, yaw)
 
 
+def _nonempty_str(value: Any, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise IngestError(f"{path}: expected a nonempty string, got {value!r}")
+    return value
+
+
 def _object_state(obj: Any, path: str) -> ObjectState:
-    object_id = _require(obj, "id", path)
-    if not isinstance(object_id, str) or not object_id:
-        raise IngestError(f"{path}.id: expected a nonempty string")
     return ObjectState(
-        object_id=object_id,
+        object_id=_nonempty_str(_require(obj, "id", path), f"{path}.id"),
         class_name=str(_require(obj, "class", path)),
         center=_point(_require(obj, "center", path), f"{path}.center"),
         velocity=_velocity(_require(obj, "velocity", path), f"{path}.velocity"),
@@ -184,9 +187,7 @@ def dataset_from_dict(data: Any) -> Dataset:
     seen_frames: set[str] = set()
     for i, fr in enumerate(frames_raw):
         path = f"$.frames[{i}]"
-        frame_id = _require(fr, "frame_id", path)
-        if not isinstance(frame_id, str) or not frame_id:
-            raise IngestError(f"{path}.frame_id: expected a nonempty string")
+        frame_id = _nonempty_str(_require(fr, "frame_id", path), f"{path}.frame_id")
         if frame_id in seen_frames:
             raise IngestError(f"{path}.frame_id: duplicate frame_id '{frame_id}'")
         seen_frames.add(frame_id)

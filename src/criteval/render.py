@@ -15,7 +15,7 @@ import math
 from typing import Iterable
 
 from .criticality import CriticalityConfig, criticality_components
-from .model import Detection, Frame, ObjectState, Vec2
+from .model import Detection, Frame, ObjectState
 
 WEIGHT_NAMES = ("kappa", "kappa_d", "kappa_r", "kappa_t")
 
@@ -43,14 +43,6 @@ class _ViewTransform:
         self.cos = math.cos(rho)
         self.sin = math.sin(rho)
         self.rho = rho
-
-    def to_screen(self, point: Vec2) -> tuple[float, float]:
-        dx = point.x - self.origin.x
-        dy = point.y - self.origin.y
-        vx = self.cos * dx - self.sin * dy
-        vy = self.sin * dx + self.cos * dy
-        return (_MARGIN_PX + _PLOT_PX / 2.0 + _SCALE * vx,
-                _MARGIN_PX + _PLOT_PX / 2.0 - _SCALE * vy)
 
 
 def _box_svg(

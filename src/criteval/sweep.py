@@ -1,9 +1,10 @@
 """Configuration sweeps and detector rankings.
 
 A sweep evaluates every detector at every (distance limit, criticality
-configuration) cell. Matching and geometry are cached per (detector,
-limit); only the parabola caps change across configurations, so the
-weights of a whole (d_max, r_max) slice of t_max values come from one
+configuration) cell. Each detector has one accumulator: its objects are
+filtered and classified once and matched once per limit. Only the
+parabola caps change across configurations, so the weights of a whole
+(d_max, r_max) slice of t_max values, at every limit, come from one
 batched call. The classic AP is hoisted out of the configuration loop
 entirely since it never depends on the weights.
 """
@@ -98,8 +99,8 @@ def evaluate_sweep(
     """Complete table, sorted by detector, limit, d_max, r_max, t_max.
 
     Each (d_max, r_max) slice of the grid is one batched reweighting over
-    all its t_max values. Runs on one thread; ``workers`` is accepted for
-    compatibility and ignored.
+    all its t_max values and all limits. Runs on one thread; ``workers`` is
+    accepted for compatibility and ignored.
     """
     if not detections_by_detector:
         raise ValueError("at least one detector is required")
@@ -108,19 +109,19 @@ def evaluate_sweep(
     slice_heads = grid.configs()[:: len(grid.t_values)]
     rows: list[SweepRow] = []
     for name in sorted(materialized):
-        for distance_limit in sorted(dist_limits):
-            acc = CurveAccumulator(dataset, materialized[name], class_name, distance_limit,
-                                   max_range)
-            ap: float | None = None
-            for head in slice_heads:
-                _, precision, recall, p_r, r_s = acc.curve_arrays(head, t_values=grid.t_values)
-                if ap is None:
-                    ap = ap_from_arrays(ap_style, recall, precision)
-                rows.extend(
-                    SweepRow(name, class_name, distance_limit, head.d_max, head.r_max, t_max,
+        acc = CurveAccumulator(dataset, materialized[name], class_name, dist_limits, max_range)
+        tables: dict[float, list[SweepRow]] = {limit: [] for limit in acc.dist_limits}
+        for head in slice_heads:
+            for (limit, table), (_, precision, recall, p_r, r_s) in zip(
+                    tables.items(), acc.curve_arrays(head, t_values=grid.t_values)):
+                # The classic AP is the same in every slice.
+                ap = table[0].ap if table else ap_from_arrays(ap_style, recall, precision)
+                table.extend(
+                    SweepRow(name, class_name, limit, head.d_max, head.r_max, t_max,
                              ap, ap_from_arrays(ap_style, r_s_row, p_r_row))
                     for t_max, p_r_row, r_s_row in zip(grid.t_values, p_r, r_s)
                 )
+        rows.extend(row for limit in sorted(tables) for row in tables[limit])
     return rows
 
 

@@ -22,6 +22,7 @@ from .model import (
     ObjectState,
     Vec2,
     _finite,
+    _nonempty_str,
     _point,
     _require,
     _size,
@@ -285,19 +286,25 @@ def scenario_from_dict(data: Any, path: str = "$") -> ScenarioSpec:
     if not isinstance(objects_raw, list):
         raise IngestError(f"{path}.objects: expected a list")
     objects = []
+    ids: set[str] = set()
     for i, obj in enumerate(objects_raw):
         obj_path = f"{path}.objects[{i}]"
         start = _point(_require(obj, "start", obj_path), f"{obj_path}.start")
-        size, class_name = obj.get("size"), obj.get("class", "car")
-        if not isinstance(class_name, str) or not class_name:
-            raise IngestError(f"{obj_path}.class: expected a nonempty string, got {class_name!r}")
+        size, object_id = obj.get("size"), obj.get("id")
+        class_name = _nonempty_str(obj.get("class", "car"), f"{obj_path}.class")
+        # gen_dataset names an object without an id obj000, obj001, ...
+        written_id = (f"obj{i:03d}" if object_id is None
+                      else _nonempty_str(object_id, f"{obj_path}.id"))
+        if written_id in ids:
+            raise IngestError(f"{obj_path}.id: duplicate object id {written_id!r}")
+        ids.add(written_id)
         objects.append(
             ScenarioObject(
                 start=start,
                 velocity=_velocity(obj.get("velocity"), f"{obj_path}.velocity"),
                 class_name=class_name,
                 size=DEFAULT_OBJECT_SIZE if size is None else _size(size, f"{obj_path}.size"),
-                object_id=obj.get("id"),
+                object_id=object_id,
             )
         )
     return ScenarioSpec(

@@ -148,6 +148,32 @@ def test_sweep_rank_round_trip(synthetic_inputs, tmp_path, capsys):
     assert "1. copy" in stdout and "2. ideal" in stdout  # tie broken by name
 
 
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+@pytest.mark.parametrize(
+    "limits, message",
+    [
+        ("1,1", "got 1.0, 1.0"),
+        ("2,1,2.0", "got 2.0, 1.0, 2.0"),
+        (",", "got none"),
+        ("1,0", "got 1.0, 0.0"),
+        ("-1", "got -1.0"),
+        ("nan", "got nan"),
+    ],
+)
+def test_bad_distance_limits_exit_one_and_write_nothing(synthetic_inputs, tmp_path, capsys,
+                                                        command, limits, message):
+    gt, pred = synthetic_inputs
+    out = tmp_path / "out"
+    args = (["--dmax", "20", "--rmax", "20", "--tmax", "8"] if command == "evaluate"
+            else ["--grid", "default"])
+    code = main([command, "--gt", str(gt), "--pred", str(pred), *args,
+                 f"--dist-limits={limits}", "--out", str(out)])
+    assert code == 1
+    assert f"error: distance limits must be nonempty, positive and distinct, {message}\n" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "grid, message",
     [
@@ -243,6 +269,13 @@ def test_generate_bad_detector_spec_exits_one(tmp_path, capsys, detectors, messa
         (("objects", 0, "class"), "", "$.scenario.objects[0].class: expected a nonempty string, got ''"),
         (("objects",), 5, "$.scenario.objects: expected a list"),
         (("objects", 0), 5, "$.scenario.objects[0]: expected an object"),
+        (("objects", 0, "id"), 5, "$.scenario.objects[0].id: expected a nonempty string, got 5"),
+        (("objects", 0, "id"), "", "$.scenario.objects[0].id: expected a nonempty string, got ''"),
+        (("objects",), [{"start": [10, 5], "id": "a"}, {"start": [20, 5], "id": "a"}],
+         "$.scenario.objects[1].id: duplicate object id 'a'"),
+        # An object without an id is written as obj<index>.
+        (("objects",), [{"start": [10, 5], "id": "obj001"}, {"start": [20, 5]}],
+         "$.scenario.objects[1].id: duplicate object id 'obj001'"),
     ],
 )
 def test_generate_bad_scenario_field_exits_one(tmp_path, capsys, field, value, message):

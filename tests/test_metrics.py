@@ -35,6 +35,7 @@ from criteval.metrics import (
     write_report_json,
 )
 from criteval.model import Dataset, Detection, Vec2
+from criteval.sweep import ConfigGrid, evaluate_sweep
 from criteval.synthgen import ErrorModel, corrupt, gen_dataset
 
 from helpers import (
@@ -53,6 +54,7 @@ from helpers import (
 )
 
 CFG = CriticalityConfig(20.0, 20.0, 8.0)
+SMALL_GRID = ConfigGrid((10.0, 20.0), (20.0,), (4.0, 8.0))
 
 nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 counts_strategy = st.builds(
@@ -332,14 +334,70 @@ def test_batched_kernel_matches_scalar_path(each_case, extra, d_max, r_max, t_va
                    velocity_noise_sigma=0.5, fp_rate_per_frame=2.0),
         seed=seed + 1,
     )
-    acc = CurveAccumulator(dataset, detections, "car", 1.0)
-    batch = acc.curve_arrays(CriticalityConfig(d_max, r_max, t_values[0]), t_values=t_values)
+    acc = CurveAccumulator(dataset, detections, "car", [1.0, 0.5, 2.0])
+    batches = acc.curve_arrays(CriticalityConfig(d_max, r_max, t_values[0]), t_values=t_values)
+    assert len(batches) == 3
     for i, t_max in enumerate(t_values):
-        one_row = acc.curve_arrays(CriticalityConfig(d_max, r_max, t_max))
-        for k in range(3):
-            assert np.array_equal(batch[k], one_row[k])
-        for k in (3, 4):
-            assert np.array_equal(batch[k][i], one_row[k])
+        one_rows = acc.curve_arrays(CriticalityConfig(d_max, r_max, t_max))
+        for batch, one_row in zip(batches, one_rows, strict=True):
+            for k in range(3):
+                assert np.array_equal(batch[k], one_row[k])
+            for k in (3, 4):
+                assert np.array_equal(batch[k][i], one_row[k])
+
+
+@given(
+    limits=st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]) | st.floats(min_value=0.05, max_value=8.0),
+                    min_size=1, max_size=5, unique=True),
+    seed=st.integers(min_value=0, max_value=10_000),
+    ap_style=st.sampled_from(metrics.AP_STYLES),
+)
+@settings(max_examples=30, deadline=None)
+def test_evaluate_over_limits_equals_one_call_per_limit(limits, seed, ap_style):
+    dataset = gen_dataset(random_scenario_spec(seed=seed, n_frames=3))
+    detections = corrupt(
+        dataset,
+        ErrorModel(miss_prob_by_distance=0.2, center_noise_sigma=1.0,
+                   velocity_noise_sigma=0.5, fp_rate_per_frame=2.0),
+        seed=seed + 1,
+    )
+    report = evaluate_detector(dataset, detections, "car", limits, CFG, ap_style)
+    assert [res.distance_limit for res in report.results] == limits
+    for res in report.results:
+        (one,) = evaluate_detector(dataset, detections, "car", [res.distance_limit], CFG,
+                                   ap_style).results
+        assert (repr(res.ap), repr(res.ap_crit)) == (repr(one.ap), repr(one.ap_crit))
+        for got, want in zip(res.arrays, one.arrays, strict=True):
+            assert np.array_equal(got, want)
+        assert res.resampled == one.resampled
+
+
+def test_each_object_is_classified_once_whatever_the_limits(monkeypatch):
+    dataset = gen_dataset(random_scenario_spec(seed=5, n_frames=8))
+    detections = corrupt(dataset, ErrorModel(center_noise_sigma=0.5, fp_rate_per_frame=2.0),
+                         seed=6)
+    frames = {f.frame_id: f for f in dataset.frames}
+
+    def in_range(frame, state):
+        return state.class_name == "car" and math.hypot(
+            state.center.x - frame.ego.center.x,
+            state.center.y - frame.ego.center.y) <= metrics.DEFAULT_EVAL_RANGE
+
+    objects = [(f, gt) for f in dataset.frames for gt in f.ground_truth]
+    objects += [(frames[d.frame_id], d.state) for d in detections]
+    expected = sum(in_range(f, state) for f, state in objects)
+    assert 0 < expected < len(objects)
+
+    calls = []
+    classify = metrics.classify
+    monkeypatch.setattr(metrics, "classify", lambda ego, obj: calls.append(obj) or classify(ego, obj))
+    for limits in ([1.0], [0.5, 1.0, 2.0, 4.0]):
+        calls.clear()
+        evaluate_detector(dataset, detections, "car", limits, CFG)
+        assert len(calls) == expected
+        calls.clear()
+        evaluate_sweep(dataset, {"a": detections}, SMALL_GRID, limits, "car")
+        assert len(calls) == expected
 
 
 def test_resample_curve_grid():

@@ -100,10 +100,10 @@ def test_sweep_ap_crit_bounded_and_unit_weight_collapses_every_config():
     dataset, detectors = _sweep_inputs()
     rows = evaluate_sweep(dataset, detectors, SMALL_GRID, [1.0], "car")
     assert all(0.0 <= r.ap_crit <= 1.0 for r in rows)
-    acc = CurveAccumulator(*without_velocities(dataset, detectors["noisy"]), "car", 1.0)
+    acc = CurveAccumulator(*without_velocities(dataset, detectors["noisy"]), "car", [1.0, 2.0])
     for cfg in SMALL_GRID.configs():
-        _, precision, recall, p_r, r_s = acc.curve_arrays(cfg)
-        assert ap_from_arrays("paper", r_s, p_r) == ap_from_arrays("paper", recall, precision)
+        for _, precision, recall, p_r, r_s in acc.curve_arrays(cfg):
+            assert ap_from_arrays("paper", r_s, p_r) == ap_from_arrays("paper", recall, precision)
 
 
 def test_sweep_detector_with_no_detections_has_rows():
