@@ -55,10 +55,8 @@ def closest_approach(ego_pos: Vec2, b_pos: Vec2, v_rel: Vec2) -> ApproachGeometr
     d_ego_c = math.hypot(ego_pos.x - c.x, ego_pos.y - c.y)
     d_b_c = math.hypot(b_pos.x - c.x, b_pos.y - c.y)
     approaching = (c.x - b_pos.x) * v_rel.x + (c.y - b_pos.y) * v_rel.y >= 0.0
-    geom = ApproachGeometry(d_ego_b, c, d_ego_c, d_b_c, None, approaching)
-    return ApproachGeometry(
-        d_ego_b, c, d_ego_c, d_b_c, time_to_closest_approach(geom, v_rel), approaching
-    )
+    # speed > 0 here (else the division above raised), as time_to_closest_approach computes it.
+    return ApproachGeometry(d_ego_b, c, d_ego_c, d_b_c, d_b_c / speed, approaching)
 
 
 def time_to_closest_approach(geom: ApproachGeometry, v_rel: Vec2) -> float:

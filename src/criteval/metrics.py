@@ -13,6 +13,7 @@ reweights cheaply for any number of configurations.
 from __future__ import annotations
 
 import json
+import math
 import os
 from array import array
 from dataclasses import asdict, dataclass
@@ -172,6 +173,11 @@ class CurveAccumulator:
         if not (limits and all(limit > 0 for limit in limits) and len(set(limits)) == len(limits)):
             raise ValueError("distance limits must be nonempty, positive and distinct, got "
                              + (", ".join(map(repr, limits)) or "none"))
+        if not all(map(math.isfinite, limits)):
+            raise ValueError("distance limits must be finite, got " + ", ".join(map(repr, limits)))
+        # filter_eval_range checks max_range too, but only runs when there are frames.
+        if not 0 < max_range < math.inf:
+            raise ValueError(f"max_range must be positive and finite, got {max_range!r}")
 
         grouped = detections_by_frame(detections)
         gt_rows: list[tuple[int, float, float, float]] = []

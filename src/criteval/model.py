@@ -4,7 +4,8 @@ All positions are 2D ``(x, y)`` coordinates in meters in one global frame
 per scene; velocities are m/s. Inputs may carry a third (altitude)
 component in center/velocity arrays; it is ignored. An object velocity is
 either fully known or missing as a whole: ``null`` or any non-finite
-component loads as ``None``.
+component loads as ``None``. Every numeric field must be a JSON number; a
+string or a boolean is rejected.
 
 Ground-truth schema::
 
@@ -107,11 +108,20 @@ def _require(mapping: Any, key: str, path: str) -> Any:
     return mapping[key]
 
 
-def _finite(value: Any, path: str) -> float:
+def _number(value: Any, path: str) -> float:
+    """A JSON number as a float: strings and booleans are rejected, a huge integer is inf."""
+    if type(value) is float:  # almost every value; the checks below cost 3x as much
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise IngestError(f"{path}: expected a number, got {value!r}")
     try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise IngestError(f"{path}: expected a number, got {value!r}") from None
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _finite(value: Any, path: str) -> float:
+    out = _number(value, path)
     if not math.isfinite(out):
         raise IngestError(f"{path}: expected a finite number, got {out!r}")
     return out
@@ -128,10 +138,7 @@ def _velocity(value: Any, path: str) -> Vec2 | None:
         return None
     if not isinstance(value, (list, tuple)) or len(value) < 2:
         raise IngestError(f"{path}: expected [vx, vy] or null")
-    try:
-        vx, vy = float(value[0]), float(value[1])
-    except (TypeError, ValueError):
-        raise IngestError(f"{path}: expected numeric components") from None
+    vx, vy = _number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]")
     if not (math.isfinite(vx) and math.isfinite(vy)):
         return None
     return Vec2(vx, vy)
@@ -239,11 +246,7 @@ def detections_from_dict(data: Any) -> list[Detection]:
             raise IngestError(f"$.results['{frame_id}']: expected a list")
         for j, obj in enumerate(entries):
             path = f"$.results['{frame_id}'][{j}]"
-            conf_raw = _require(obj, "confidence", path)
-            try:
-                confidence = float(conf_raw)
-            except (TypeError, ValueError):
-                raise IngestError(f"{path}.confidence: expected a number") from None
+            confidence = _number(_require(obj, "confidence", path), f"{path}.confidence")
             if not (0.0 <= confidence <= 1.0):
                 raise IngestError(
                     f"{path}.confidence: must be in [0, 1], got {confidence!r}"
@@ -328,8 +331,8 @@ def filter_eval_range(
 
     The comparison is inclusive; ego itself is untouched.
     """
-    if not max_range > 0:
-        raise ValueError(f"max_range must be positive, got {max_range}")
+    if not 0 < max_range < math.inf:
+        raise ValueError(f"max_range must be positive and finite, got {max_range!r}")
     ex, ey = frame.ego.center
     kept_gt = [
         g for g in frame.ground_truth

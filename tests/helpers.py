@@ -91,6 +91,30 @@ def counts_from_match(match: MatchResult, ego: ObjectState, cfg: CriticalityConf
     )
 
 
+def brute_force_assign(
+    gts: list[ObjectState], detections: list[Detection], distance_limit: float
+) -> list[tuple[Detection, int | None]]:
+    """Greedy matching by a scan over every (prediction, ground truth) pair (test oracle)."""
+    order = sorted(range(len(detections)), key=lambda i: -detections[i].confidence)
+    taken = [False] * len(gts)
+    out: list[tuple[Detection, int | None]] = []
+    for i in order:
+        det = detections[i]
+        cx, cy = det.state.center
+        best: int | None = None
+        best_dist = math.inf
+        for j, gt in enumerate(gts):
+            if taken[j]:
+                continue
+            dist = math.hypot(gt.center.x - cx, gt.center.y - cy)
+            if dist <= distance_limit and dist < best_dist:
+                best, best_dist = j, dist
+        if best is not None:
+            taken[best] = True
+        out.append((det, best))
+    return out
+
+
 def curve_csv_oracle(curve: list[CurvePoint]) -> bytes:
     """A curve CSV as ``csv.writer`` lays it out, six decimals per value (test oracle)."""
     buf = io.StringIO(newline="")

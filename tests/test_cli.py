@@ -174,6 +174,60 @@ def test_bad_distance_limits_exit_one_and_write_nothing(synthetic_inputs, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--dist-limits", "1,inf", "distance limits must be finite, got 1.0, inf"),
+        ("--dist-limits", "1e400", "distance limits must be finite, got inf"),
+        ("--max-range", "inf", "max_range must be positive and finite, got inf"),
+        ("--max-range", "1e400", "max_range must be positive and finite, got inf"),
+        ("--max-range", "nan", "max_range must be positive and finite, got nan"),
+    ],
+)
+@pytest.mark.parametrize("frames", ["all", "none"])
+def test_nonfinite_limit_or_range_exits_one_and_writes_nothing(
+        synthetic_inputs, tmp_path, capsys, command, option, value, message, frames):
+    gt, pred = synthetic_inputs
+    if frames == "none":
+        gt.write_text('{"frames": []}')
+    out = tmp_path / "out"
+    args = (["--dmax", "20", "--rmax", "20", "--tmax", "8"] if command == "evaluate"
+            else ["--grid", "default"])
+    code = main([command, "--gt", str(gt), "--pred", str(pred), *args,
+                 f"{option}={value}", "--out", str(out)])
+    assert code == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("center", ["1.5", True], "center[0]: expected a number, got '1.5'"),
+        ("size", [2, " 4 "], "size[1]: expected a number, got ' 4 '"),
+        ("yaw", "0", "yaw: expected a number, got '0'"),
+        ("confidence", "0.5", "confidence: expected a number, got '0.5'"),
+        ("velocity", ["nan", 1], "velocity[0]: expected a number, got 'nan'"),
+    ],
+)
+def test_string_or_boolean_number_exits_one(synthetic_inputs, tmp_path, capsys,
+                                            command, field, value, message):
+    gt, _ = synthetic_inputs
+    entry = {"class": "car", "center": [0, 0], "velocity": None, "size": [2, 4], "yaw": 0.0,
+             "confidence": 0.5, field: value}
+    pred = tmp_path / "bad.json"
+    pred.write_text(json.dumps({"results": {"f0": [entry]}}))
+    args = (["--dmax", "20", "--rmax", "20", "--tmax", "8"] if command == "evaluate"
+            else ["--grid", "default"])
+    out = tmp_path / "out"
+    code = main([command, "--gt", str(gt), "--pred", str(pred), *args, "--out", str(out)])
+    assert code == 1
+    assert f"error: $.results['f0'][0].{message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "grid, message",
     [

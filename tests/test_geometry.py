@@ -67,6 +67,23 @@ def test_time_overflow_is_non_finite():
     assert not math.isfinite(geom.delta_t)
 
 
+@given(ex=st.floats(allow_nan=False, allow_infinity=False),
+       ey=st.floats(allow_nan=False, allow_infinity=False),
+       bx=st.floats(allow_nan=False, allow_infinity=False),
+       by=st.floats(allow_nan=False, allow_infinity=False),
+       vx=st.floats(allow_nan=False, allow_infinity=False),
+       vy=st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=300)
+def test_delta_t_is_time_to_closest_approach(ex, ey, bx, by, vx, vy):
+    v_rel = Vec2(vx, vy)
+    geom = closest_approach(Vec2(ex, ey), Vec2(bx, by), v_rel)
+    if geom.approaching is None:
+        assert vx == vy == 0.0 and geom.delta_t is None
+    else:
+        # repr: the same IEEE operation, so equal also when both are nan.
+        assert repr(geom.delta_t) == repr(time_to_closest_approach(geom, v_rel))
+
+
 def test_time_requires_defined_geometry():
     geom = closest_approach(Vec2(0, 0), Vec2(6, 8), Vec2(0, 0))
     with pytest.raises(ValueError):

@@ -1,13 +1,15 @@
 """Greedy center-distance matching."""
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from criteval.matching import distance_limits_default, match_frame
+from criteval.matching import distance_limits_default, greedy_assign, match_frame
 from criteval.model import Detection
 
-from helpers import make_state
+from helpers import brute_force_assign, make_state
 
 
 def det(center, conf, object_id="d"):
@@ -63,9 +65,21 @@ def test_confidence_ties_broken_by_input_order():
     assert result.tp[0][1].object_id == "first"
 
 
+def test_equal_distances_go_to_the_lowest_index():
+    # Index 1 comes first in x order; the tie still goes to index 0.
+    gts = [make_state(object_id="g0", center=(1.0, 0.0)),
+           make_state(object_id="g1", center=(-1.0, 0.0))]
+    assert greedy_assign(gts, [det((0.0, 0.0), 0.9)], 1.0)[0][1] == 0
+
+
 def test_distance_limit_must_be_positive():
     with pytest.raises(ValueError):
         match_frame([], [], 0.0, 0.0)
+
+
+def test_distance_limit_must_be_finite():
+    with pytest.raises(ValueError, match="must be positive and finite, got inf"):
+        match_frame([], [], math.inf, 0.0)
 
 
 def test_distance_limits_default():
@@ -126,3 +140,53 @@ def test_degenerate_oracle_with_unbounded_limit(contents):
     result = match_frame(gts, preds, 1e18, 0.0)
     assert len(result.fn) == max(0, len(gts) - len(preds))
     assert len(result.fp) == max(0, len(preds) - len(gts))
+
+
+# Multiples of the limit: on the limit along an axis, at the corners of the
+# window and just inside or outside it.
+LIMIT_MULTIPLES = [0.0, 0.5, 1.0, -1.0, 2.0, -2.0, math.nextafter(1.0, 2.0),
+                   math.nextafter(1.0, 0.0), math.sqrt(0.5), -math.sqrt(0.5)]
+
+
+@st.composite
+def matching_inputs(draw):
+    limit = draw(st.sampled_from([5e-324, 1e-310, 0.5, 1.0, 2.0, 4.0, 1e18, 1e308, math.inf])
+                 | st.floats(min_value=1e-3, max_value=30.0))
+    coord = (st.sampled_from([0.0, 1e300, -1e300, 1.7e308, -1.7e308, math.inf, math.nan])
+             | st.floats(min_value=-50.0, max_value=50.0))
+    base = draw(coord)
+    anchors = [(base + draw(st.floats(-5.0, 5.0)), base + draw(st.floats(-5.0, 5.0)))
+               for _ in range(draw(st.integers(1, 3)))]
+    offset = st.sampled_from(LIMIT_MULTIPLES) | st.floats(-3.0, 3.0)
+
+    def center():
+        # Near an anchor in units of the limit (overflowing to inf or nan for
+        # the largest limits), or anywhere.
+        if draw(st.booleans()):
+            ax, ay = draw(st.sampled_from(anchors))
+            return ax + draw(offset) * limit, ay + draw(offset) * limit
+        return draw(coord), draw(coord)
+
+    conf = st.sampled_from([0.5, 0.9]) | st.floats(0.0, 1.0)
+    gts = [make_state(object_id=f"g{i}", center=center())
+           for i in range(draw(st.integers(0, 8)))]
+    preds = [det(center() if draw(st.booleans()) else draw(st.sampled_from(anchors)),
+                 draw(conf), f"d{i}")
+             for i in range(draw(st.integers(0, 8)))]
+    return gts, preds, limit
+
+
+@given(inputs=matching_inputs())
+@example(inputs=(  # A nan x would disorder the ground truths sorted by x.
+    [make_state(object_id=f"g{i}", center=(x, 0.0))
+     for i, x in enumerate([7.0, math.nan, 3.0, 7.0, 0.0, 3.0])],
+    [det((1.0, 0.0), 0.5, "d0"), det((7.0, 0.0), 0.5, "d1")],
+    0.5,
+))
+@settings(max_examples=600)
+def test_greedy_assign_equals_the_all_pairs_scan(inputs):
+    gts, preds, limit = inputs
+    got = greedy_assign(gts, preds, limit)
+    want = brute_force_assign(gts, preds, limit)
+    assert [j for _, j in got] == [j for _, j in want]
+    assert all(a is b for (a, _), (b, _) in zip(got, want)) and len(got) == len(want)

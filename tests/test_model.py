@@ -230,6 +230,12 @@ def test_filter_eval_range_requires_positive_range():
         filter_eval_range(make_frame(), [], 0.0)
 
 
+@pytest.mark.parametrize("max_range", [math.inf, math.nan])
+def test_filter_eval_range_requires_finite_range(max_range):
+    with pytest.raises(ValueError, match=f"max_range must be positive and finite, got {max_range!r}"):
+        filter_eval_range(make_frame(), [], max_range)
+
+
 def test_select_class_examples():
     frame = make_frame(
         objects=[
@@ -304,3 +310,53 @@ def test_dataset_frame_lookup():
     assert dataset.frame("f0").frame_id == "f0"
     with pytest.raises(KeyError):
         dataset.frame("nope")
+
+
+DETECTION = {"class": "car", "center": [5.0, 5.0], "velocity": [0.5, 0.25],
+             "size": [2.0, 4.5], "yaw": 0.1, "confidence": 0.73}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("center", ["1.5", 0.0], "$.results['f'][0].center[0]: expected a number, got '1.5'"),
+        ("center", [1.5, True], "$.results['f'][0].center[1]: expected a number, got True"),
+        ("size", [" 2 ", "4e0"], "$.results['f'][0].size[0]: expected a number, got ' 2 '"),
+        ("yaw", "0", "$.results['f'][0].yaw: expected a number, got '0'"),
+        ("yaw", False, "$.results['f'][0].yaw: expected a number, got False"),
+        ("confidence", "0.5", "$.results['f'][0].confidence: expected a number, got '0.5'"),
+        ("confidence", True, "$.results['f'][0].confidence: expected a number, got True"),
+        ("velocity", ["nan", 1.0], "$.results['f'][0].velocity[0]: expected a number, got 'nan'"),
+        ("velocity", [1.0, None], "$.results['f'][0].velocity[1]: expected a number, got None"),
+        ("center", [10**400, 0.0], "$.results['f'][0].center[0]: expected a finite number, got inf"),
+        ("confidence", -10**400, "$.results['f'][0].confidence: must be in [0, 1], got -inf"),
+    ],
+)
+def test_detection_numbers_must_be_json_numbers(field, value, message):
+    with pytest.raises(IngestError) as info:
+        detections_from_dict({"results": {"f": [{**DETECTION, field: value}]}})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda fr: fr.update(timestamp="0"), "$.frames[0].timestamp: expected a number, got '0'"),
+        (lambda fr: fr["ego"].update(velocity=[0.0, "5"]),
+         "$.frames[0].ego.velocity[1]: expected a number, got '5'"),
+        (lambda fr: fr["objects"][0].update(yaw=True),
+         "$.frames[0].objects[0].yaw: expected a number, got True"),
+    ],
+)
+def test_ground_truth_numbers_must_be_json_numbers(edit, message):
+    doc = copy.deepcopy(MINIMAL_GT)
+    edit(doc["frames"][0])
+    with pytest.raises(IngestError) as info:
+        dataset_from_dict(doc)
+    assert str(info.value) == message
+
+
+def test_huge_integer_velocity_loads_as_missing():
+    doc = copy.deepcopy(MINIMAL_GT)
+    doc["frames"][0]["objects"][0]["velocity"] = [10**400, 0]
+    assert dataset_from_dict(doc).frames[0].ground_truth[0].velocity is None
