@@ -119,37 +119,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    rows = sweep.read_sweep_csv(args.table)
-    present = sorted({r.distance_limit for r in rows})
-    if args.limit is not None and args.limit not in present:
-        listed = ", ".join(f"{limit:g}" for limit in present) or "none"
+    by_limit: dict[float, dict[tuple[float, ...], dict[str, sweep.SweepRow]]] = {}
+    for (limit, *config), cell in sweep.ranking_cells(sweep.read_sweep_csv(args.table)).items():
+        by_limit.setdefault(limit, {})[tuple(config)] = cell
+    if args.limit is not None and args.limit not in by_limit:
+        listed = ", ".join(f"{limit:g}" for limit in by_limit) or "none"
         raise ValueError(f"{args.table}: no rows with l={args.limit:g}; limits present: {listed}")
-    for limit in present if args.limit is None else [args.limit]:
-        configs = sorted({(r.d_max, r.r_max, r.t_max) for r in rows if r.distance_limit == limit})
-        config = args.config if args.config is not None else CriticalityConfig(*configs[0])
-        key = (config.d_max, config.r_max, config.t_max)
-        if key not in configs:
-            text = lambda c: ",".join(f"{v:g}" for v in c)
-            listed = "; ".join(text(c) for c in configs[:5]) + ("; ..." if len(configs) > 5 else "")
+    text = lambda c: ",".join(f"{v:g}" for v in c)
+    other = "ap" if args.metric == "ap_crit" else "ap_crit"
+    for limit in by_limit if args.limit is None else [args.limit]:
+        cells = by_limit[limit]
+        key = next(iter(cells)) if args.config is None else dataclasses.astuple(args.config)
+        if key not in cells:
+            listed = "; ".join(text(c) for c in list(cells)[:5]) + ("; ..." if len(cells) > 5 else "")
             raise ValueError(f"{args.table}: no rows with l={limit:g} and config {text(key)}; "
-                             f"configs present ({len(configs)}): {listed}")
-        order = sweep.rank(rows, args.metric, limit, config)
-        other = "ap" if args.metric == "ap_crit" else "ap_crit"
-        diff = sweep.ranking_diff(
-            sweep.rank(rows, other, limit, config), order, metric_a=other, metric_b=args.metric
-        )
-        values = {
-            r.detector: (r.ap if args.metric == "ap" else r.ap_crit)
-            for r in rows
-            if r.distance_limit == limit and (r.d_max, r.r_max, r.t_max) == key
-        }
-        print(
-            f"l={limit:g} config=({config.d_max:g},{config.r_max:g},{config.t_max:g}) "
-            f"metric={args.metric}"
-        )
+                             f"configs present ({len(cells)}): {listed}")
+        cell = cells[key]
+        order = sweep.rank(cell, args.metric)
+        n_moved, max_displacement = sweep.ranking_diff(sweep.rank(cell, other), order)
+        print(f"l={limit:g} config=({text(key)}) metric={args.metric}")
         for i, name in enumerate(order, start=1):
-            print(f"  {i}. {name}  {values[name]:.6f}")
-        print(f"  vs {other}: n_moved={diff.n_moved} max_displacement={diff.max_displacement}")
+            print(f"  {i}. {name}  {getattr(cell[name], args.metric):.6f}")
+        print(f"  vs {other}: n_moved={n_moved} max_displacement={max_displacement}")
     return 0
 
 

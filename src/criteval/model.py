@@ -174,10 +174,10 @@ def _nonempty_str(value: Any, path: str) -> str:
     return value
 
 
-def _object_state(obj: Any, path: str) -> ObjectState:
+def _object_state(obj: Any, path: str, object_id: str) -> ObjectState:
     return ObjectState(
-        object_id=_nonempty_str(_require(obj, "id", path), f"{path}.id"),
-        class_name=str(_require(obj, "class", path)),
+        object_id=object_id,
+        class_name=_nonempty_str(_require(obj, "class", path), f"{path}.class"),
         center=_point(_require(obj, "center", path), f"{path}.center"),
         velocity=_velocity(_require(obj, "velocity", path), f"{path}.velocity"),
         size=_size(_require(obj, "size", path), f"{path}.size"),
@@ -206,11 +206,11 @@ def dataset_from_dict(data: Any) -> Dataset:
         objects: list[ObjectState] = []
         seen_ids: set[str] = set()
         for j, obj in enumerate(objects_raw):
-            state = _object_state(obj, f"{path}.objects[{j}]")
+            obj_path = f"{path}.objects[{j}]"
+            state = _object_state(obj, obj_path,
+                                  _nonempty_str(_require(obj, "id", obj_path), f"{obj_path}.id"))
             if state.object_id in seen_ids:
-                raise IngestError(
-                    f"{path}.objects[{j}].id: duplicate object id '{state.object_id}'"
-                )
+                raise IngestError(f"{obj_path}.id: duplicate object id '{state.object_id}'")
             seen_ids.add(state.object_id)
             objects.append(state)
         frames.append(Frame(frame_id, timestamp, ego, objects))
@@ -251,15 +251,7 @@ def detections_from_dict(data: Any) -> list[Detection]:
                 raise IngestError(
                     f"{path}.confidence: must be in [0, 1], got {confidence!r}"
                 )
-            state = ObjectState(
-                object_id=f"det{j}",
-                class_name=str(_require(obj, "class", path)),
-                center=_point(_require(obj, "center", path), f"{path}.center"),
-                velocity=_velocity(_require(obj, "velocity", path), f"{path}.velocity"),
-                size=_size(_require(obj, "size", path), f"{path}.size"),
-                yaw=_finite(_require(obj, "yaw", path), f"{path}.yaw"),
-            )
-            detections.append(Detection(frame_id, state, confidence))
+            detections.append(Detection(frame_id, _object_state(obj, path, f"det{j}"), confidence))
     return detections
 
 

@@ -7,6 +7,11 @@ parabola caps change across configurations, so the weights of a whole
 (d_max, r_max) slice of t_max values, at every limit, come from one
 batched call. The classic AP is hoisted out of the configuration loop
 entirely since it never depends on the weights.
+
+Rankings have one path: ``ranking_cells`` indexes a table by
+(l, d_max, r_max, t_max) cell and detector, and ``rank`` orders one cell's
+detectors by descending metric, ties broken by ascending name. Both
+``rankings_report`` (``rankings.json``) and ``criteval rank`` use them.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from .criticality import CriticalityConfig
-from .metrics import CurveAccumulator, ap_from_arrays
+from .metrics import CurveAccumulator, ap_from_arrays, ap_function
 from .model import Dataset, Detection, IngestError
 
 SWEEP_CSV_HEADER = ["detector", "class", "l", "d_max", "r_max", "t_max", "ap", "ap_crit"]
@@ -64,6 +69,9 @@ def default_grid() -> ConfigGrid:
     )
 
 
+CellKey = tuple[float, float, float, float]
+
+
 @dataclass(frozen=True)
 class SweepRow:
     detector: str
@@ -74,16 +82,6 @@ class SweepRow:
     t_max: float
     ap: float
     ap_crit: float
-
-
-@dataclass(frozen=True)
-class RankingDiff:
-    metric_a: str
-    metric_b: str
-    order_a: list[str]
-    order_b: list[str]
-    n_moved: int
-    max_displacement: int
 
 
 def evaluate_sweep(
@@ -104,6 +102,7 @@ def evaluate_sweep(
     """
     if not detections_by_detector:
         raise ValueError("at least one detector is required")
+    ap_function(ap_style)  # rejects an unknown style before any work
     materialized = {name: list(dets) for name, dets in detections_by_detector.items()}
     # configs() varies t_max fastest, so every len(t_values)-th one starts a slice.
     slice_heads = grid.configs()[:: len(grid.t_values)]
@@ -125,54 +124,35 @@ def evaluate_sweep(
     return rows
 
 
-def rank(
-    rows: Sequence[SweepRow],
-    metric: str,
-    distance_limit: float,
-    config: CriticalityConfig | None = None,
-) -> list[str]:
-    """Detectors ordered by descending metric; ties broken by ascending name."""
+def ranking_cells(rows: Iterable[SweepRow]) -> dict[CellKey, dict[str, SweepRow]]:
+    """Rows by (l, d_max, r_max, t_max) cell, then by detector; cells in ascending order."""
+    cells: dict[CellKey, dict[str, SweepRow]] = {}
+    for row in rows:
+        key = (row.distance_limit, row.d_max, row.r_max, row.t_max)
+        cell = cells.setdefault(key, {})
+        if row.detector in cell:
+            raise ValueError(
+                f"detector {row.detector!r} appears twice in the cell l={key[0]:g} "
+                f"config {key[1]:g},{key[2]:g},{key[3]:g}"
+            )
+        cell[row.detector] = row
+    return {key: cells[key] for key in sorted(cells)}
+
+
+def rank(cell: Mapping[str, SweepRow], metric: str) -> list[str]:
+    """The detectors of one cell by descending metric; ties broken by ascending name."""
     if metric not in ("ap", "ap_crit"):
         raise ValueError(f"metric must be 'ap' or 'ap_crit', got {metric!r}")
-    selected = [r for r in rows if r.distance_limit == distance_limit]
-    if config is not None:
-        selected = [
-            r
-            for r in selected
-            if (r.d_max, r.r_max, r.t_max) == (config.d_max, config.r_max, config.t_max)
-        ]
-    values: dict[str, float] = {}
-    for row in selected:
-        value = row.ap if metric == "ap" else row.ap_crit
-        if row.detector in values and values[row.detector] != value:
-            raise ValueError(
-                f"ambiguous {metric} for detector {row.detector!r}; pass a config to select one cell"
-            )
-        values[row.detector] = value
-    if not values:
-        raise ValueError(f"no sweep rows for l={distance_limit} and the given config")
-    return sorted(values, key=lambda name: (-values[name], name))
+    return sorted(cell, key=lambda name: (-getattr(cell[name], metric), name))
 
 
-def ranking_diff(
-    order_a: Sequence[str],
-    order_b: Sequence[str],
-    metric_a: str = "ap",
-    metric_b: str = "ap_crit",
-) -> RankingDiff:
-    """Positional comparison of two orderings of the same detector set."""
+def ranking_diff(order_a: Sequence[str], order_b: Sequence[str]) -> tuple[int, int]:
+    """(n_moved, max_displacement) between two orderings of the same detector set."""
     if sorted(order_a) != sorted(order_b):
         raise ValueError("orders must contain the same detectors")
     pos_b = {name: i for i, name in enumerate(order_b)}
     displacements = [abs(i - pos_b[name]) for i, name in enumerate(order_a)]
-    return RankingDiff(
-        metric_a=metric_a,
-        metric_b=metric_b,
-        order_a=list(order_a),
-        order_b=list(order_b),
-        n_moved=sum(1 for d in displacements if d > 0),
-        max_displacement=max(displacements, default=0),
-    )
+    return sum(1 for d in displacements if d > 0), max(displacements, default=0)
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
@@ -194,7 +174,7 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
             )
 
 
-def _finite_cell(rec: dict[str, str], column: str, where: str) -> float:
+def _finite_cell(rec: dict[str, str], column: str, where: str, positive: bool = False) -> float:
     text = rec[column]
     try:
         value = float(text)
@@ -202,11 +182,17 @@ def _finite_cell(rec: dict[str, str], column: str, where: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise IngestError(f"{where}: column '{column}': expected a finite number, got {text!r}")
+    if positive and value <= 0:
+        raise IngestError(f"{where}: column '{column}': expected a positive number, got {text!r}")
     return value
 
 
 def read_sweep_csv(path: str | Path) -> list[SweepRow]:
-    """Rows of a sweep table; a cap or AP cell that is not a finite number is an error."""
+    """Rows of a sweep table.
+
+    A cap or AP cell that is not a finite number is an error, and so is a
+    limit or cap (``l``, ``d_max``, ``r_max``, ``t_max``) that is not positive.
+    """
     rows: list[SweepRow] = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -215,51 +201,32 @@ def read_sweep_csv(path: str | Path) -> list[SweepRow]:
             raise ValueError(f"{path}: missing sweep columns {sorted(missing)}")
         for rec in reader:
             where = f"{path}:line {reader.line_num}"
-            rows.append(
-                SweepRow(
-                    detector=rec["detector"],
-                    class_name=rec["class"],
-                    distance_limit=_finite_cell(rec, "l", where),
-                    d_max=_finite_cell(rec, "d_max", where),
-                    r_max=_finite_cell(rec, "r_max", where),
-                    t_max=_finite_cell(rec, "t_max", where),
-                    ap=_finite_cell(rec, "ap", where),
-                    ap_crit=_finite_cell(rec, "ap_crit", where),
-                )
-            )
+            cell = [_finite_cell(rec, c, where, positive=True) for c in SWEEP_CSV_HEADER[2:6]]
+            scores = [_finite_cell(rec, c, where) for c in SWEEP_CSV_HEADER[6:]]
+            rows.append(SweepRow(rec["detector"], rec["class"], *cell, *scores))
     return rows
 
 
 def rankings_report(rows: Sequence[SweepRow], dist_limits: Sequence[float]) -> dict[str, Any]:
     """Per-configuration orders plus how each differs from the AP order."""
-    buckets: dict[tuple[float, float, float, float], list[SweepRow]] = {}
-    for row in rows:
-        buckets.setdefault(
-            (row.distance_limit, row.d_max, row.r_max, row.t_max), []
-        ).append(row)
     per_config: list[dict[str, Any]] = []
     differing: dict[str, int] = {}
-    for key in sorted(buckets):
-        distance_limit, d_max, r_max, t_max = key
-        cell = buckets[key]
-        order_ap = sorted(cell, key=lambda r: (-r.ap, r.detector))
-        order_crit = sorted(cell, key=lambda r: (-r.ap_crit, r.detector))
-        diff = ranking_diff(
-            [r.detector for r in order_ap], [r.detector for r in order_crit]
-        )
+    for (distance_limit, d_max, r_max, t_max), cell in ranking_cells(rows).items():
+        order_ap, order_crit = rank(cell, "ap"), rank(cell, "ap_crit")
+        n_moved, max_displacement = ranking_diff(order_ap, order_crit)
         per_config.append(
             {
                 "l": distance_limit,
                 "d_max": d_max,
                 "r_max": r_max,
                 "t_max": t_max,
-                "order_ap": diff.order_a,
-                "order_ap_crit": diff.order_b,
-                "n_moved": diff.n_moved,
-                "max_displacement": diff.max_displacement,
+                "order_ap": order_ap,
+                "order_ap_crit": order_crit,
+                "n_moved": n_moved,
+                "max_displacement": max_displacement,
             }
         )
-        if diff.n_moved:
+        if n_moved:
             limit_key = repr(distance_limit)
             differing[limit_key] = differing.get(limit_key, 0) + 1
     return {

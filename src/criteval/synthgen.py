@@ -272,15 +272,20 @@ def brute_force_cpa(
 
 
 def _integer(value: Any, path: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise IngestError(f"{path}: expected an integer, got {value!r}") from None
+    """A JSON integer: strings, booleans and floats (even ``2.0``) are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise IngestError(f"{path}: expected an integer, got {value!r}")
+    return value
 
 
 def scenario_from_dict(data: Any, path: str = "$") -> ScenarioSpec:
     """Scenario from its JSON form; errors name the offending location under ``path``."""
     n_frames = _integer(_require(data, "n_frames", path), f"{path}.n_frames")
+    if n_frames < 0:
+        raise IngestError(f"{path}.n_frames: expected a nonnegative integer, got {n_frames}")
+    frame_prefix = data.get("frame_prefix", "frame")
+    if not isinstance(frame_prefix, str):
+        raise IngestError(f"{path}.frame_prefix: expected a string, got {frame_prefix!r}")
     ego = _require(data, "ego", path)
     objects_raw = data.get("objects", [])
     if not isinstance(objects_raw, list):
@@ -313,7 +318,7 @@ def scenario_from_dict(data: Any, path: str = "$") -> ScenarioSpec:
         ego_velocity=_point(_require(ego, "velocity", f"{path}.ego"), f"{path}.ego.velocity"),
         objects=objects,
         seed=_integer(data.get("seed", 0), f"{path}.seed"),
-        frame_prefix=str(data.get("frame_prefix", "frame")),
+        frame_prefix=frame_prefix,
     )
 
 

@@ -10,7 +10,7 @@ from criteval.cli import main
 from criteval.model import dataset_to_dict, detections_to_dict, dump_json
 from criteval.synthgen import gen_dataset
 
-from helpers import perfect_detections, random_scenario_spec
+from helpers import divergence_scenario, perfect_detections, random_scenario_spec
 
 DATA = Path(__file__).parent / "data"
 
@@ -210,6 +210,7 @@ def test_nonfinite_limit_or_range_exits_one_and_writes_nothing(
         ("yaw", "0", "yaw: expected a number, got '0'"),
         ("confidence", "0.5", "confidence: expected a number, got '0.5'"),
         ("velocity", ["nan", 1], "velocity[0]: expected a number, got 'nan'"),
+        ("class", None, "class: expected a nonempty string, got None"),
     ],
 )
 def test_string_or_boolean_number_exits_one(synthetic_inputs, tmp_path, capsys,
@@ -330,6 +331,16 @@ def test_generate_bad_detector_spec_exits_one(tmp_path, capsys, detectors, messa
         # An object without an id is written as obj<index>.
         (("objects",), [{"start": [10, 5], "id": "obj001"}, {"start": [20, 5]}],
          "$.scenario.objects[1].id: duplicate object id 'obj001'"),
+        (("seed",), "7", "$.scenario.seed: expected an integer, got '7'"),
+        (("seed",), 1.9, "$.scenario.seed: expected an integer, got 1.9"),
+        (("seed",), False, "$.scenario.seed: expected an integer, got False"),
+        (("n_frames",), "2", "$.scenario.n_frames: expected an integer, got '2'"),
+        (("n_frames",), 2.7, "$.scenario.n_frames: expected an integer, got 2.7"),
+        (("n_frames",), 2.0, "$.scenario.n_frames: expected an integer, got 2.0"),
+        (("n_frames",), True, "$.scenario.n_frames: expected an integer, got True"),
+        (("n_frames",), -3, "$.scenario.n_frames: expected a nonnegative integer, got -3"),
+        (("frame_prefix",), None, "$.scenario.frame_prefix: expected a string, got None"),
+        (("frame_prefix",), 5, "$.scenario.frame_prefix: expected a string, got 5"),
     ],
 )
 def test_generate_bad_scenario_field_exits_one(tmp_path, capsys, field, value, message):
@@ -371,6 +382,69 @@ def test_rank_absent_config_names_it_and_the_configs_present(tmp_path, capsys):
     assert (f"{table}: no rows with l=1 and config 5,5,5; configs present (6): "
             "10,20,2; 10,20,4; 10,20,8; 20,20,2; 20,20,4; ...") in capsys.readouterr().err
     assert main(["rank", "--table", str(table), "--metric", "ap", "--config", "20,20,4"]) == 0
+
+
+_RANK_HEADER = "detector,class,l,d_max,r_max,t_max,ap,ap_crit\n"
+
+
+@pytest.mark.parametrize(
+    "second",
+    [
+        "a,car,1.0,20.0,20.0,8.0,0.5,0.4",  # the same row twice
+        "a,car,1.0,20.0,20.0,8.0,0.6,0.4",  # two values for one detector
+        "a,truck,1.0,20.0,20.0,8.0,0.5,0.4",  # a table that mixes classes
+    ],
+)
+def test_rank_duplicated_row_exits_one_naming_the_cell(tmp_path, capsys, second):
+    table = tmp_path / "sweep.csv"
+    table.write_text(_RANK_HEADER + "b,car,1.0,20.0,20.0,8.0,0.7,0.3\n"
+                     f"a,car,1.0,20.0,20.0,8.0,0.5,0.4\n{second}\n")
+    code = main(["rank", "--table", str(table), "--metric", "ap", "--l", "1", "--config", "20,20,8"])
+    assert code == 1
+    assert "detector 'a' appears twice in the cell l=1 config 20,20,8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column", ["l", "d_max", "r_max", "t_max"])
+@pytest.mark.parametrize("cell", ["-20.0", "0.0"])
+def test_rank_non_positive_limit_or_cap_exits_one(tmp_path, capsys, column, cell):
+    good = dict(zip(_RANK_HEADER.strip().split(","), "a,car,1.0,20.0,20.0,8.0,0.5,0.4".split(",")))
+    bad = dict(good, **{"t_max": "4.0", column: cell})  # another cell than the one selected
+    table = tmp_path / "sweep.csv"
+    table.write_text(_RANK_HEADER + ",".join(good.values()) + "\n" + ",".join(bad.values()) + "\n")
+    code = main(["rank", "--table", str(table), "--metric", "ap", "--l", "1", "--config", "20,20,8"])
+    assert code == 1
+    assert (f"{table}:line 3: column '{column}': expected a positive number, got '{cell}'"
+            in capsys.readouterr().err)
+
+
+def test_rank_agrees_with_rankings_json_in_every_cell(tmp_path, capsys):
+    dataset, dets_a, dets_b = divergence_scenario()
+    gt = tmp_path / "gt.json"
+    dump_json(dataset_to_dict(dataset), gt)
+    preds = []
+    # "copy" has the same detections as "A", so their ap ties in every cell.
+    for name, dets in (("A", dets_a), ("B", dets_b), ("copy", dets_a)):
+        dump_json(detections_to_dict(dets), tmp_path / f"{name}.json")
+        preds += ["--pred", f"{name}={tmp_path / name}.json"]
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"d_values": [10, 20], "r_values": [20], "t_values": [4, 8]}')
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--gt", str(gt), *preds, "--grid", str(grid),
+                 "--dist-limits", "0.5,2", "--out", str(out)]) == 0
+    rankings = json.loads((out / "rankings.json").read_text())
+    assert len(rankings["per_config"]) == 4 * 2
+    assert any(entry["n_moved"] for entry in rankings["per_config"])
+    capsys.readouterr()
+    for entry in rankings["per_config"]:
+        assert entry["order_ap"].index("A") + 1 == entry["order_ap"].index("copy")
+        for metric in ("ap", "ap_crit"):
+            config = f"{entry['d_max']!r},{entry['r_max']!r},{entry['t_max']!r}"
+            assert main(["rank", "--table", str(out / "sweep.csv"), "--metric", metric,
+                         "--l", repr(entry["l"]), "--config", config]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert [line.split()[1] for line in lines[1:-1]] == entry[f"order_{metric}"]
+            assert lines[-1].endswith(f"n_moved={entry['n_moved']} "
+                                      f"max_displacement={entry['max_displacement']}")
 
 
 def test_generate_writes_gt_and_detector_files(tmp_path):

@@ -360,3 +360,22 @@ def test_huge_integer_velocity_loads_as_missing():
     doc = copy.deepcopy(MINIMAL_GT)
     doc["frames"][0]["objects"][0]["velocity"] = [10**400, 0]
     assert dataset_from_dict(doc).frames[0].ground_truth[0].velocity is None
+
+
+@pytest.mark.parametrize("value", [None, 5, ""])
+def test_class_must_be_a_nonempty_string(value):
+    doc = copy.deepcopy(MINIMAL_GT)
+    doc["frames"][0]["objects"][0]["class"] = value
+    with pytest.raises(IngestError) as info:
+        dataset_from_dict(doc)
+    assert str(info.value) == f"$.frames[0].objects[0].class: expected a nonempty string, got {value!r}"
+    with pytest.raises(IngestError) as info:
+        detections_from_dict({"results": {"f0": [{**DETECTION, "class": value}]}})
+    assert str(info.value) == f"$.results['f0'][0].class: expected a nonempty string, got {value!r}"
+
+
+def test_detection_confidence_is_checked_before_class():
+    entry = {**DETECTION, "class": None, "confidence": 1.5}
+    with pytest.raises(IngestError) as info:
+        detections_from_dict({"results": {"f0": [entry]}})
+    assert str(info.value) == "$.results['f0'][0].confidence: must be in [0, 1], got 1.5"

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from criteval import sweep
 from criteval.criticality import CriticalityConfig
 from criteval.metrics import evaluate_detector
 from criteval.model import Dataset
@@ -13,6 +14,7 @@ from criteval.sweep import (
     default_grid,
     evaluate_sweep,
     rank,
+    ranking_cells,
     ranking_diff,
     rankings_report,
     read_sweep_csv,
@@ -133,6 +135,17 @@ def test_sweep_requires_a_detector():
         evaluate_sweep(dataset, {}, SMALL_GRID, [1.0], "car")
 
 
+def test_sweep_rejects_unknown_ap_style_before_any_work(monkeypatch):
+    dataset, detectors = _sweep_inputs()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an accumulator was built")
+
+    monkeypatch.setattr(sweep, "CurveAccumulator", no_work)
+    with pytest.raises(ValueError, match="ap_style must be one of"):
+        evaluate_sweep(dataset, detectors, SMALL_GRID, [1.0], "car", ap_style="coco")
+
+
 def _rows(values, limit=1.0, config=(20.0, 20.0, 8.0)):
     return [
         SweepRow(name, "car", limit, config[0], config[1], config[2], ap, ap_crit)
@@ -140,26 +153,33 @@ def _rows(values, limit=1.0, config=(20.0, 20.0, 8.0)):
     ]
 
 
+def _cell(values):
+    (cell,) = ranking_cells(_rows(values)).values()
+    return cell
+
+
 def test_rank_descending_and_tie_break():
-    rows = _rows({"A": (0.7, 0.6), "B": (0.9, 0.5)})
-    assert rank(rows, "ap", 1.0, CriticalityConfig(20.0, 20.0, 8.0)) == ["B", "A"]
-    rows = _rows({"B": (0.5, 0.5), "A": (0.5, 0.5)})
-    assert rank(rows, "ap", 1.0, CriticalityConfig(20.0, 20.0, 8.0)) == ["A", "B"]
+    assert rank(_cell({"A": (0.7, 0.6), "B": (0.9, 0.5)}), "ap") == ["B", "A"]
+    assert rank(_cell({"B": (0.5, 0.5), "A": (0.5, 0.5)}), "ap") == ["A", "B"]
 
 
-def test_rank_rejects_unknown_metric_and_empty_selection():
-    rows = _rows({"A": (0.7, 0.6)})
+def test_rank_rejects_unknown_metric():
     with pytest.raises(ValueError):
-        rank(rows, "f1", 1.0, None)
-    with pytest.raises(ValueError):
-        rank(rows, "ap", 4.0, None)
+        rank(_cell({"A": (0.7, 0.6)}), "f1")
+
+
+def test_ranking_cells_orders_cells_and_rejects_a_repeated_detector():
+    rows = _rows({"A": (0.7, 0.6)}, limit=2.0) + _rows({"B": (0.5, 0.5), "A": (0.7, 0.6)})
+    cells = ranking_cells(rows)
+    assert list(cells) == [(1.0, 20.0, 20.0, 8.0), (2.0, 20.0, 20.0, 8.0)]
+    assert list(cells[(1.0, 20.0, 20.0, 8.0)]) == ["B", "A"]
+    with pytest.raises(ValueError, match="detector 'A' appears twice in the cell l=1 config 20,20,8"):
+        ranking_cells(rows + _rows({"A": (0.7, 0.6)}))
 
 
 def test_ranking_diff_examples():
-    diff = ranking_diff(["A", "B", "C"], ["A", "B", "C"])
-    assert diff.n_moved == 0 and diff.max_displacement == 0
-    diff = ranking_diff(["A", "B", "C"], ["B", "A", "C"])
-    assert diff.n_moved == 2 and diff.max_displacement == 1
+    assert ranking_diff(["A", "B", "C"], ["A", "B", "C"]) == (0, 0)
+    assert ranking_diff(["A", "B", "C"], ["B", "A", "C"]) == (2, 1)
     with pytest.raises(ValueError):
         ranking_diff(["A", "B"], ["A", "C"])
 
