@@ -37,7 +37,10 @@ def _load_grid(spec: str) -> sweep.ConfigGrid:
         if not isinstance(items, list):
             raise model.IngestError(f"$.{key}: expected a list of numbers, got {items!r}")
         values[key] = tuple(model._finite(v, f"$.{key}[{i}]") for i, v in enumerate(items))
-    return sweep.ConfigGrid(**values)
+    try:
+        return sweep.ConfigGrid(**values)
+    except ValueError as exc:
+        raise model.IngestError(f"$.{exc}") from None
 
 
 def _warn_unknown_frames(ingest: dict) -> None:

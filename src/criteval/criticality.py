@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import closest_approach, relative_velocity
 from .model import ObjectState
 
 CASE_MISSING_VELOCITY = 0
@@ -70,23 +69,35 @@ def combine(kd: float, kr: float, kt: float) -> float:
 def classify(ego: ObjectState, obj: ObjectState) -> tuple[int, float, float, float]:
     """Cap-independent geometry summary ``(case, d_egoB, d_egoC, delta_t)``.
 
-    ``d_egoC`` and ``delta_t`` are meaningful only for the cases that use
-    them and are stored as 0.0 otherwise.
+    Ego is held still; the object moves with the relative velocity
+    ``v_obj - v_ego``. Its closest point C to ego is found by projecting onto
+    the unit velocity, so a single zero velocity component needs no slope
+    branch, and the geometry is undefined only when the relative velocity is
+    exactly zero in both components. The object approaches iff it moves
+    towards C (a zero displacement counts: it is already there); ``delta_t``,
+    its distance to C over its speed, may overflow. ``d_egoC`` and
+    ``delta_t`` are stored as 0.0 for the cases that do not use them.
     """
     if ego.velocity is None:
         raise ValueError("ego velocity must be known")
-    d_ego_b = math.hypot(obj.center.x - ego.center.x, obj.center.y - ego.center.y)
+    ex, ey = ego.center
+    bx, by = obj.center
+    d_ego_b = math.hypot(bx - ex, by - ey)
     if obj.velocity is None:
         return (CASE_MISSING_VELOCITY, d_ego_b, 0.0, 0.0)
-    v_rel = relative_velocity(obj.velocity, ego.velocity)
-    geom = closest_approach(ego.center, obj.center, v_rel)
-    if geom.approaching is None:
+    vx, vy = obj.velocity.x - ego.velocity.x, obj.velocity.y - ego.velocity.y
+    if vx == 0.0 and vy == 0.0:
         return (CASE_ZERO_REL_VELOCITY, d_ego_b, 0.0, 0.0)
-    if not geom.approaching:
+    speed = math.hypot(vx, vy)
+    ux, uy = vx / speed, vy / speed
+    along = (ex - bx) * ux + (ey - by) * uy
+    cx, cy = bx + along * ux, by + along * uy
+    # Also false when the projection is nan (an overflowing relative velocity).
+    if not (cx - bx) * vx + (cy - by) * vy >= 0.0:
         return (CASE_RECEDING, d_ego_b, 0.0, 0.0)
-    if not math.isfinite(geom.delta_t):
-        return (CASE_NONFINITE_TIME, d_ego_b, geom.d_egoC, geom.delta_t)
-    return (CASE_TRACKED, d_ego_b, geom.d_egoC, geom.delta_t)
+    delta_t = math.hypot(bx - cx, by - cy) / speed
+    case = CASE_TRACKED if math.isfinite(delta_t) else CASE_NONFINITE_TIME
+    return (case, d_ego_b, math.hypot(ex - cx, ey - cy), delta_t)
 
 
 def weights_from_class(

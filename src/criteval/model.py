@@ -214,7 +214,9 @@ def dataset_from_dict(data: Any) -> Dataset:
             seen_ids.add(state.object_id)
             objects.append(state)
         frames.append(Frame(frame_id, timestamp, ego, objects))
-    meta = data.get("meta", {}) if isinstance(data, dict) else {}
+    meta = data.get("meta", {})
+    if not isinstance(meta, dict):
+        raise IngestError(f"$.meta: expected an object, got {meta!r}")
     return Dataset(frames=frames, meta=dict(meta))
 
 

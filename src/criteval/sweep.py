@@ -42,11 +42,11 @@ class ConfigGrid:
             ("t_values", self.t_values),
         ):
             if not values:
-                raise ValueError(f"{name} must be nonempty")
-            if not all(math.isfinite(v) and v > 0 for v in values):
-                raise ValueError(f"{name} must be positive and finite")
-            if any(b <= a for a, b in zip(values, values[1:])):
-                raise ValueError(f"{name} must be strictly increasing")
+                raise ValueError(f"{name}: expected a nonempty list of values")
+            for i, (low, value) in enumerate(zip((0.0, *values), values)):
+                if not low < value < math.inf:
+                    raise ValueError(f"{name}[{i}]: expected a finite value greater than "
+                                     f"{low!r}, got {value!r}")
 
     def __len__(self) -> int:
         return len(self.d_values) * len(self.r_values) * len(self.t_values)

@@ -105,7 +105,7 @@ class ErrorModel:
     """Detector imperfections applied to ground truth.
 
     ``miss_prob_by_distance`` is either a constant probability or a list of
-    ``(distance_limit, probability)`` steps sorted by distance; an object at
+    ``(distance_limit, probability)`` steps with increasing limits; an object at
     distance d uses the first step with d <= distance_limit, and the last
     probability beyond the final limit. Spurious detections are drawn per
     frame from a Poisson with ``fp_rate_per_frame``, placed uniformly in a
@@ -344,6 +344,10 @@ def error_model_from_dict(data: Any, path: str = "$") -> ErrorModel:
         miss = [(_finite(limit, f"{miss_path}[{i}][0]"),
                  _number_in(prob, f"{miss_path}[{i}][1]", 0.0, 1.0))
                 for i, (limit, prob) in enumerate(miss)]
+        for i in range(1, len(miss)):
+            if miss[i][0] <= miss[i - 1][0]:
+                raise IngestError(f"{miss_path}[{i}][0]: expected a value greater than "
+                                  f"{miss[i - 1][0]!r}, got {miss[i][0]!r}")
     fields: dict[str, Any] = {"miss_prob_by_distance": miss}
     for key in ("center_noise_sigma", "velocity_noise_sigma", "fp_rate_per_frame"):
         if key in data:

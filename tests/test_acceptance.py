@@ -17,12 +17,13 @@ import pytest
 
 from criteval.cli import main
 from criteval.criticality import (
+    CASE_TRACKED,
     CriticalityConfig,
+    classify,
     combine,
     criticality_components,
     parabolic_score,
 )
-from criteval.geometry import closest_approach, relative_velocity
 from criteval.metrics import CurvePoint, average_precision, build_curve, devkit_average_precision
 from criteval.model import (
     dataset_to_dict,
@@ -64,14 +65,13 @@ def _passed(name: str) -> None:
 def test_geometry_oracle_1000_scenarios():
     started = time.monotonic()
     for ego, obj in approaching_pairs(1000, seed=20240901):
-        v_rel = relative_velocity(obj.velocity, ego.velocity)
-        geom = closest_approach(ego.center, obj.center, v_rel)
-        assert geom.approaching is True
+        case, _, d_ego_c, delta_t = classify(ego, obj)
+        assert case == CASE_TRACKED
         min_dist, t_min = brute_force_cpa(
             ego, obj, dt=1e-3, horizon=default_oracle_horizon(ego, obj)
         )
-        assert abs(geom.d_egoC - min_dist) <= 1e-3
-        assert abs(geom.delta_t - t_min) <= 1e-2
+        assert abs(d_ego_c - min_dist) <= 1e-3
+        assert abs(delta_t - t_min) <= 1e-2
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
     _passed(f"geometry oracle (1000 scenarios, {elapsed:.1f}s)")

@@ -94,19 +94,30 @@ def test_evaluate_missing_file_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_evaluate_schema_error_exits_one(synthetic_inputs, tmp_path, capsys):
-    gt, _ = synthetic_inputs
+@pytest.mark.parametrize(
+    "which, content, message",
+    [
+        ("pred", '{"results": {"f0": [{"class": "car", "center": [0, 0], "velocity": null,'
+                 ' "size": [2, 4], "yaw": 0.0, "confidence": 1.7}]}}', "confidence"),
+        ("gt", '{"frames": [], "meta": [1, 2]}', "error: $.meta: expected an object, got [1, 2]\n"),
+        ("gt", '{"frames": [], "meta": null}', "error: $.meta: expected an object, got None\n"),
+        ("gt", '{"frames": [], "meta": "ab"}', "error: $.meta: expected an object, got 'ab'\n"),
+    ],
+)
+def test_evaluate_schema_error_exits_one(synthetic_inputs, tmp_path, capsys, which, content,
+                                         message):
+    gt, pred = synthetic_inputs
     bad = tmp_path / "bad.json"
-    bad.write_text(
-        '{"results": {"f0": [{"class": "car", "center": [0, 0], "velocity": null,'
-        ' "size": [2, 4], "yaw": 0.0, "confidence": 1.7}]}}'
-    )
+    bad.write_text(content)
+    inputs = {"gt": gt, "pred": pred, which: bad}
+    out = tmp_path / "o"
     code = main(
-        ["evaluate", "--gt", str(gt), "--pred", str(bad),
-         "--dmax", "20", "--rmax", "20", "--tmax", "8", "--out", str(tmp_path / "o")]
+        ["evaluate", "--gt", str(inputs["gt"]), "--pred", str(inputs["pred"]),
+         "--dmax", "20", "--rmax", "20", "--tmax", "8", "--out", str(out)]
     )
     assert code == 1
-    assert "confidence" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_warns_on_unknown_frames(synthetic_inputs, tmp_path, capsys):
@@ -236,6 +247,14 @@ def test_string_or_boolean_number_exits_one(synthetic_inputs, tmp_path, capsys,
         ('{"d_values": [10], "r_values": 20, "t_values": [4]}', "$.r_values: expected a list"),
         ('{"d_values": [10], "r_values": [20, "x"], "t_values": [4]}', "$.r_values[1]: expected a number"),
         ('{"d_values": [10], "r_values": [20, NaN], "t_values": [4]}', "$.r_values[1]: expected a finite"),
+        ('{"d_values": [10, 5], "r_values": [20], "t_values": [4]}',
+         "$.d_values[1]: expected a finite value greater than 10.0, got 5.0"),
+        ('{"d_values": [], "r_values": [20], "t_values": [4]}',
+         "$.d_values: expected a nonempty list of values"),
+        ('{"d_values": [-5], "r_values": [20], "t_values": [4]}',
+         "$.d_values[0]: expected a finite value greater than 0.0, got -5.0"),
+        ('{"d_values": [10], "r_values": [5, 5], "t_values": [4]}',
+         "$.r_values[1]: expected a finite value greater than 5.0, got 5.0"),
     ],
 )
 def test_sweep_bad_grid_exits_one_naming_the_field(synthetic_inputs, tmp_path, capsys, grid, message):
@@ -300,6 +319,8 @@ def test_generate_spec_missing_field_exits_one(tmp_path, capsys, nested, drop, m
         ({"x": {"miss_prob_by_distance": 1.5}}, "$.detectors.x.miss_prob_by_distance: expected a number in [0, 1]"),
         ({"x": {"miss_prob_by_distance": [[10]]}}, "$.detectors.x.miss_prob_by_distance[0]: expected [distance_limit, prob]"),
         ({"x": {"miss_prob_by_distance": [[10, 0.1], [20, "p"]]}}, "$.detectors.x.miss_prob_by_distance[1][1]: expected a number"),
+        ({"x": {"miss_prob_by_distance": [[50, 0.5], [25, 0.05]]}}, "$.detectors.x.miss_prob_by_distance[1][0]: expected a value greater than 50.0, got 25.0"),
+        ({"x": {"miss_prob_by_distance": [[25, 0.5], [25, 0.05]]}}, "$.detectors.x.miss_prob_by_distance[1][0]: expected a value greater than 25.0, got 25.0"),
         ({"x": {"confidence_model": {"true": {"mean": 0.8, "std": 0.1}}}}, "$.detectors.x.confidence_model: missing required field 'false'"),
         ({"x": 3}, "$.detectors.x: expected an object"),
         (["x"], "$.detectors: expected an object"),

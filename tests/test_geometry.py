@@ -1,4 +1,4 @@
-"""Closest-approach geometry: worked cases, invariances, simulation oracle."""
+"""Approach geometry of ``classify``: worked cases, invariances, simulation oracle."""
 
 import math
 
@@ -6,11 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from criteval.geometry import closest_approach, relative_velocity, time_to_closest_approach
-from criteval.model import Vec2
+from criteval.criticality import (
+    CASE_MISSING_VELOCITY,
+    CASE_NONFINITE_TIME,
+    CASE_RECEDING,
+    CASE_TRACKED,
+    CASE_ZERO_REL_VELOCITY,
+    classify,
+)
 from criteval.synthgen import brute_force_cpa, default_oracle_horizon
 
-from helpers import approaching_pairs
+from helpers import approaching_pairs, make_ego, make_state
 
 coords = st.floats(min_value=-1000.0, max_value=1000.0, allow_nan=False)
 # Sub-nanometer-per-second components underflow sign tests; snap them to the
@@ -18,99 +24,93 @@ coords = st.floats(min_value=-1000.0, max_value=1000.0, allow_nan=False)
 speeds = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False).map(
     lambda v: 0.0 if abs(v) < 1e-9 else v
 )
+finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def test_relative_velocity_examples():
-    assert relative_velocity(Vec2(2, 0), Vec2(2, 0)) == Vec2(0.0, 0.0)
-    assert relative_velocity(Vec2(0, 0), Vec2(0, 10)) == Vec2(0.0, -10.0)
-    assert relative_velocity(Vec2(-3, -4), Vec2(0, 0)) == Vec2(-3.0, -4.0)
+def _classify(ex, ey, bx, by, vx, vy):
+    """``classify`` of an object at (bx, by) moving with (vx, vy) relative to a still ego."""
+    return classify(make_ego(center=(ex, ey)), make_state(center=(bx, by), velocity=(vx, vy)))
+
+
+def _travel(ex, ey, bx, by, vx, vy):
+    """Signed distance from the object to its closest point, along its velocity.
+
+    The approach direction is ill-conditioned where this is near zero.
+    """
+    return ((ex - bx) * vx + (ey - by) * vy) / math.hypot(vx, vy)
 
 
 def test_head_on_along_x_axis():
-    geom = closest_approach(Vec2(0, 0), Vec2(10, 0), Vec2(-2, 0))
-    assert geom.c == Vec2(0.0, 0.0)
-    assert geom.d_egoB == 10.0
-    assert geom.d_egoC == 0.0
-    assert geom.d_BC == 10.0
-    assert geom.approaching is True
-    assert geom.delta_t == 5.0
+    assert _classify(0, 0, 10, 0, -2, 0) == (CASE_TRACKED, 10.0, 0.0, 5.0)
 
 
 def test_vertical_line_needs_no_special_case():
-    geom = closest_approach(Vec2(0, 0), Vec2(3, 4), Vec2(0, 1))
-    assert geom.c == Vec2(3.0, 0.0)
-    assert geom.d_egoC == 3.0
-    assert geom.d_BC == 4.0
-    assert geom.approaching is False
+    assert _classify(0, 0, 3, 4, 0, 1) == (CASE_RECEDING, 5.0, 0.0, 0.0)
+    assert _classify(0, 0, 3, 4, 0, -1) == (CASE_TRACKED, 5.0, 3.0, 4.0)
 
 
 def test_zero_relative_velocity_leaves_geometry_undefined():
-    geom = closest_approach(Vec2(0, 0), Vec2(6, 8), Vec2(0, 0))
-    assert geom.d_egoB == 10.0
-    assert geom.c is None
-    assert geom.d_egoC is None
-    assert geom.d_BC is None
-    assert geom.delta_t is None
-    assert geom.approaching is None
+    ego = make_ego(velocity=(3.0, 1.0))
+    obj = make_state(center=(6.0, 8.0), velocity=(3.0, 1.0))
+    assert classify(ego, obj) == (CASE_ZERO_REL_VELOCITY, 10.0, 0.0, 0.0)
 
 
-def test_time_to_closest_approach_examples():
-    geom = closest_approach(Vec2(0, 0), Vec2(10, 0), Vec2(-2, 0))
-    assert time_to_closest_approach(geom, Vec2(-2, 0)) == 5.0
-
-    geom = closest_approach(Vec2(0, 0), Vec2(6, 8), Vec2(-3, -4))
-    assert time_to_closest_approach(geom, Vec2(-3, -4)) == 2.0
+def test_time_to_closest_approach_toward_ego():
+    case, d_ego_b, d_ego_c, delta_t = _classify(0, 0, 6, 8, -3, -4)
+    assert (case, d_ego_b, d_ego_c) == (CASE_TRACKED, 10.0, 0.0)
+    assert delta_t == 2.0
 
 
 def test_time_overflow_is_non_finite():
-    geom = closest_approach(Vec2(0, 0), Vec2(1e300, 0), Vec2(-1e-300, 0))
-    assert not math.isfinite(geom.delta_t)
+    case, _, _, delta_t = _classify(0, 0, 1e300, 0, -1e-300, 0)
+    assert case == CASE_NONFINITE_TIME
+    assert not math.isfinite(delta_t)
 
 
-@given(ex=st.floats(allow_nan=False, allow_infinity=False),
-       ey=st.floats(allow_nan=False, allow_infinity=False),
-       bx=st.floats(allow_nan=False, allow_infinity=False),
-       by=st.floats(allow_nan=False, allow_infinity=False),
-       vx=st.floats(allow_nan=False, allow_infinity=False),
-       vy=st.floats(allow_nan=False, allow_infinity=False))
-@settings(max_examples=300)
-def test_delta_t_is_time_to_closest_approach(ex, ey, bx, by, vx, vy):
-    v_rel = Vec2(vx, vy)
-    geom = closest_approach(Vec2(ex, ey), Vec2(bx, by), v_rel)
-    if geom.approaching is None:
-        assert vx == vy == 0.0 and geom.delta_t is None
+@given(ex=finite, ey=finite, bx=finite, by=finite, evx=finite, evy=finite,
+       ovx=finite, ovy=finite, known=st.booleans())
+@settings(max_examples=500)
+def test_classify_never_raises_on_finite_input(ex, ey, bx, by, evx, evy, ovx, ovy, known):
+    ego = make_ego(center=(ex, ey), velocity=(evx, evy))
+    obj = make_state(center=(bx, by), velocity=(ovx, ovy) if known else None)
+    case, d_ego_b, d_ego_c, delta_t = classify(ego, obj)
+    assert repr(d_ego_b) == repr(math.hypot(bx - ex, by - ey))
+    if not known:
+        assert case == CASE_MISSING_VELOCITY
+    elif ovx - evx == 0.0 and ovy - evy == 0.0:
+        assert case == CASE_ZERO_REL_VELOCITY
     else:
-        # repr: the same IEEE operation, so equal also when both are nan.
-        assert repr(geom.delta_t) == repr(time_to_closest_approach(geom, v_rel))
-
-
-def test_time_requires_defined_geometry():
-    geom = closest_approach(Vec2(0, 0), Vec2(6, 8), Vec2(0, 0))
-    with pytest.raises(ValueError):
-        time_to_closest_approach(geom, Vec2(0, 0))
+        assert case in (CASE_RECEDING, CASE_NONFINITE_TIME, CASE_TRACKED)
+    if case in (CASE_MISSING_VELOCITY, CASE_ZERO_REL_VELOCITY, CASE_RECEDING):
+        assert d_ego_c == 0.0 and delta_t == 0.0
+    else:
+        assert math.isfinite(delta_t) == (case == CASE_TRACKED)
 
 
 @given(ex=coords, ey=coords, bx=coords, by=coords, vx=speeds, vy=speeds)
 @settings(max_examples=300)
 def test_closest_point_is_no_farther_than_object(ex, ey, bx, by, vx, vy):
-    geom = closest_approach(Vec2(ex, ey), Vec2(bx, by), Vec2(vx, vy))
-    if geom.d_egoC is not None:
-        assert geom.d_egoC <= geom.d_egoB + 1e-9 * max(1.0, geom.d_egoB)
+    _, d_ego_b, d_ego_c, _ = _classify(ex, ey, bx, by, vx, vy)
+    assert d_ego_c <= d_ego_b + 1e-9 * max(1.0, d_ego_b)
 
 
 @given(ex=coords, ey=coords, bx=coords, by=coords, vx=speeds, vy=speeds,
        tx=coords, ty=coords)
 @settings(max_examples=200)
 def test_translation_invariance(ex, ey, bx, by, vx, vy, tx, ty):
-    a = closest_approach(Vec2(ex, ey), Vec2(bx, by), Vec2(vx, vy))
-    b = closest_approach(Vec2(ex + tx, ey + ty), Vec2(bx + tx, by + ty), Vec2(vx, vy))
+    a = _classify(ex, ey, bx, by, vx, vy)
+    b = _classify(ex + tx, ey + ty, bx + tx, by + ty, vx, vy)
     scale = max(1.0, abs(ex), abs(ey), abs(bx), abs(by), abs(tx), abs(ty))
-    assert a.d_egoB == pytest.approx(b.d_egoB, abs=1e-9 * scale)
-    if a.d_egoC is not None:
-        assert a.d_egoC == pytest.approx(b.d_egoC, abs=1e-9 * scale)
-        assert a.d_BC == pytest.approx(b.d_BC, abs=1e-9 * scale)
-        if min(a.d_BC, b.d_BC) > 1e-9 * scale:  # sign is ill-conditioned at d_BC ~ 0
-            assert a.approaching == b.approaching
+    assert a[1] == pytest.approx(b[1], abs=1e-9 * scale)
+    if a[0] == CASE_ZERO_REL_VELOCITY:
+        assert b[0] == CASE_ZERO_REL_VELOCITY
+        return
+    if abs(_travel(ex, ey, bx, by, vx, vy)) > 1e-9 * scale:
+        assert a[0] == b[0]
+    if a[0] == b[0] == CASE_TRACKED:
+        speed = math.hypot(vx, vy)
+        assert a[2] == pytest.approx(b[2], abs=1e-9 * scale)
+        assert a[3] * speed == pytest.approx(b[3] * speed, abs=1e-9 * scale)
 
 
 @given(ex=coords, ey=coords, bx=coords, by=coords, vx=speeds, vy=speeds,
@@ -119,41 +119,46 @@ def test_translation_invariance(ex, ey, bx, by, vx, vy, tx, ty):
 def test_rotation_invariance(ex, ey, bx, by, vx, vy, angle):
     cos_a, sin_a = math.cos(angle), math.sin(angle)
 
-    def rotate(p: Vec2) -> Vec2:
-        return Vec2(cos_a * p.x - sin_a * p.y, sin_a * p.x + cos_a * p.y)
+    def rotate(x, y):
+        return cos_a * x - sin_a * y, sin_a * x + cos_a * y
 
     # Rotate the object position about ego, and the velocity direction with it.
-    ego = Vec2(ex, ey)
-    rel = rotate(Vec2(bx - ex, by - ey))
-    a = closest_approach(ego, Vec2(bx, by), Vec2(vx, vy))
-    b = closest_approach(ego, Vec2(ex + rel.x, ey + rel.y), rotate(Vec2(vx, vy)))
+    rx, ry = rotate(bx - ex, by - ey)
+    a = _classify(ex, ey, bx, by, vx, vy)
+    b = _classify(ex, ey, ex + rx, ey + ry, *rotate(vx, vy))
     scale = max(1.0, abs(ex), abs(ey), abs(bx), abs(by))
-    assert a.d_egoB == pytest.approx(b.d_egoB, abs=1e-8 * scale)
-    if a.d_egoC is not None:
-        assert a.d_egoC == pytest.approx(b.d_egoC, abs=1e-8 * scale)
-        assert a.d_BC == pytest.approx(b.d_BC, abs=1e-8 * scale)
+    assert a[1] == pytest.approx(b[1], abs=1e-8 * scale)
+    assert (a[0] == CASE_ZERO_REL_VELOCITY) == (b[0] == CASE_ZERO_REL_VELOCITY)
+    if a[0] == CASE_ZERO_REL_VELOCITY:
+        return
+    travel = abs(_travel(ex, ey, bx, by, vx, vy))
+    if travel > 1e-8 * scale:
+        assert a[0] == b[0]
+    if a[0] == b[0] == CASE_TRACKED:
+        speed = math.hypot(vx, vy)
+        assert a[2] == pytest.approx(b[2], abs=1e-8 * scale)
+        assert a[3] * speed == pytest.approx(b[3] * speed, abs=1e-8 * scale)
         # Time is d_BC / speed: only well-conditioned away from d_BC ~ 0.
-        if math.isfinite(a.delta_t) and min(a.d_BC, b.d_BC) > 1e-9 * scale:
-            assert a.delta_t == pytest.approx(b.delta_t, rel=1e-6)
+        if travel > 1e-9 * scale:
+            assert a[3] == pytest.approx(b[3], rel=1e-6)
 
 
 @given(ex=coords, ey=coords, bx=coords, by=coords, vx=speeds, vy=speeds)
 @settings(max_examples=300)
 def test_negating_velocity_flips_approaching(ex, ey, bx, by, vx, vy):
-    a = closest_approach(Vec2(ex, ey), Vec2(bx, by), Vec2(vx, vy))
-    if a.approaching is None or a.d_BC <= 1e-9:
+    if (vx == 0.0 and vy == 0.0) or abs(_travel(ex, ey, bx, by, vx, vy)) <= 1e-9:
         return
-    b = closest_approach(Vec2(ex, ey), Vec2(bx, by), Vec2(-vx, -vy))
-    assert a.approaching != b.approaching
+    a = _classify(ex, ey, bx, by, vx, vy)
+    b = _classify(ex, ey, bx, by, -vx, -vy)
+    assert (a[0] == CASE_RECEDING) != (b[0] == CASE_RECEDING)
 
 
 def test_simulation_oracle_agrees_on_sample_batch():
     # Full 1000-scenario run lives in the acceptance suite.
     for ego, obj in approaching_pairs(100, seed=123):
-        v_rel = relative_velocity(obj.velocity, ego.velocity)
-        geom = closest_approach(ego.center, obj.center, v_rel)
-        assert geom.approaching is True
+        case, _, d_ego_c, delta_t = classify(ego, obj)
+        assert case == CASE_TRACKED
         min_dist, t_min = brute_force_cpa(ego, obj, dt=1e-3,
                                           horizon=default_oracle_horizon(ego, obj))
-        assert abs(geom.d_egoC - min_dist) <= 1e-3
-        assert abs(geom.delta_t - t_min) <= 1e-2
+        assert abs(d_ego_c - min_dist) <= 1e-3
+        assert abs(delta_t - t_min) <= 1e-2

@@ -1,6 +1,7 @@
 """Configuration grids, sweep tables, rankings."""
 
 import itertools
+import math
 
 import pytest
 
@@ -46,12 +47,14 @@ def test_default_grid_shape():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^d_values: expected a nonempty list"):
         ConfigGrid(d_values=(), r_values=(5.0,), t_values=(2.0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^d_values\[1\]: .* greater than 5.0, got 5.0$"):
         ConfigGrid(d_values=(5.0, 5.0), r_values=(5.0,), t_values=(2.0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^d_values\[0\]: .* greater than 0.0, got -5.0$"):
         ConfigGrid(d_values=(-5.0, 5.0), r_values=(5.0,), t_values=(2.0,))
+    with pytest.raises(ValueError, match=r"^t_values\[1\]: .* greater than 2.0, got inf$"):
+        ConfigGrid(d_values=(5.0,), r_values=(5.0,), t_values=(2.0, math.inf))
 
 
 def _sweep_inputs():
