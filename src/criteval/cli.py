@@ -125,6 +125,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     by_limit: dict[float, dict[tuple[float, ...], dict[str, sweep.SweepRow]]] = {}
     for (limit, *config), cell in sweep.ranking_cells(sweep.read_sweep_csv(args.table)).items():
         by_limit.setdefault(limit, {})[tuple(config)] = cell
+    if not by_limit:
+        raise ValueError(f"{args.table}: no rows")
     if args.limit is not None and args.limit not in by_limit:
         listed = ", ".join(f"{limit:g}" for limit in by_limit) or "none"
         raise ValueError(f"{args.table}: no rows with l={args.limit:g}; limits present: {listed}")
@@ -180,9 +182,9 @@ def _cmd_birdview(args: argparse.Namespace) -> int:
     except KeyError:
         raise ValueError(f"unknown frame_id {args.frame!r}") from None
     detections = model.load_detections(args.pred) if args.pred else []
-    grouped = model.detections_by_frame(detections)
+    dets = [d for d in detections if d.frame_id == args.frame]
     cfg = CriticalityConfig(args.dmax, args.rmax, args.tmax)
-    svg = render.render_birdview(frame, grouped.get(args.frame, []), cfg, weight=args.weight)
+    svg = render.render_birdview(frame, dets, cfg, weight=args.weight)
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)

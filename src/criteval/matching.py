@@ -16,20 +16,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from .model import Detection, ObjectState
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Per-frame partition into TP pairs, FP predictions and FN ground truths."""
-
-    tp: list[tuple[ObjectState, ObjectState]]
-    fp: list[ObjectState]
-    fn: list[ObjectState]
-    distance_limit: float
-    threshold: float
 
 
 def distance_limits_default() -> list[float]:
@@ -71,20 +59,3 @@ def greedy_assign(
             out.append((det, best))
     return out
 
-
-def match_frame(
-    gts: list[ObjectState],
-    preds: list[Detection],
-    distance_limit: float,
-    threshold: float,
-) -> MatchResult:
-    """Match one frame's detections (already class- and range-filtered)."""
-    if not 0 < distance_limit < math.inf:
-        raise ValueError(f"distance_limit must be positive and finite, got {distance_limit!r}")
-    kept = [d for d in preds if d.confidence >= threshold]
-    assignment = greedy_assign(gts, kept, distance_limit)
-    tp = [(gts[j], det.state) for det, j in assignment if j is not None]
-    fp = [det.state for det, j in assignment if j is None]
-    matched = {j for _, j in assignment if j is not None}
-    fn = [gt for j, gt in enumerate(gts) if j not in matched]
-    return MatchResult(tp, fp, fn, distance_limit, threshold)

@@ -31,14 +31,7 @@ from .criticality import (
     classify,
 )
 from .matching import greedy_assign
-from .model import (
-    Dataset,
-    Detection,
-    detections_by_frame,
-    filter_eval_range,
-    ingest_summary,
-    select_class,
-)
+from .model import Dataset, Detection, ingest_summary
 
 DEFAULT_EVAL_RANGE = 50.0
 AP_MIN_RECALL = 0.1
@@ -175,28 +168,37 @@ class CurveAccumulator:
                              + (", ".join(map(repr, limits)) or "none"))
         if not all(map(math.isfinite, limits)):
             raise ValueError("distance limits must be finite, got " + ", ".join(map(repr, limits)))
-        # filter_eval_range checks max_range too, but only runs when there are frames.
         if not 0 < max_range < math.inf:
             raise ValueError(f"max_range must be positive and finite, got {max_range!r}")
+        if not class_name:
+            raise ValueError("class_name must be nonempty")
 
-        grouped = detections_by_frame(detections)
+        # The detections of the class by frame, in input order.
+        grouped: dict[str, list[Detection]] = {}
+        for det in detections:
+            if det.state.class_name == class_name:
+                grouped.setdefault(det.frame_id, []).append(det)
         gt_rows: list[tuple[int, float, float, float]] = []
         pred_rows: list[tuple[int, float, float, float]] = []
         conf: list[float] = []
         # The matched ground truth (-1 if none) of each prediction, one array per limit.
         matches = [array("q") for _ in limits]
         for frame in sorted(dataset.frames, key=lambda f: f.frame_id):
-            sub, dets = select_class(frame, grouped.get(frame.frame_id, []), class_name)
-            sub, dets = filter_eval_range(sub, dets, max_range)
+            ego = frame.ego
+            ex, ey = ego.center
+            gts = [g for g in frame.ground_truth if g.class_name == class_name
+                   and math.hypot(g.center.x - ex, g.center.y - ey) <= max_range]
+            dets = [d for d in grouped.get(frame.frame_id, ())
+                    if math.hypot(d.state.center.x - ex, d.state.center.y - ey) <= max_range]
             base = len(gt_rows)
-            gt_rows.extend(classify(sub.ego, gt) for gt in sub.ground_truth)
+            gt_rows.extend(classify(ego, gt) for gt in gts)
             # Within-frame rank order; greedy_assign keeps it, as its sort is stable.
             dets.sort(key=lambda d: -d.confidence)
-            pred_rows.extend(classify(sub.ego, det.state) for det in dets)
+            pred_rows.extend(classify(ego, det.state) for det in dets)
             conf.extend(det.confidence for det in dets)
             for match, limit in zip(matches, limits):
                 match.extend(-1 if j is None else base + j
-                             for _, j in greedy_assign(sub.ground_truth, dets, limit))
+                             for _, j in greedy_assign(gts, dets, limit))
         # Frames come in frame_id order, so a stable sort makes the global order.
         order = np.argsort(-np.array(conf, dtype=np.float64), kind="stable")
 

@@ -1,4 +1,7 @@
-"""Domain types and JSON ingestion for ground-truth frames and detections.
+"""Domain types, JSON ingestion and serialization for ground-truth frames and detections.
+
+Which objects an evaluation sees (one class, within a range of the ego)
+is decided in one place, :class:`criteval.metrics.CurveAccumulator`.
 
 All positions are 2D ``(x, y)`` coordinates in meters in one global frame
 per scene; velocities are m/s. Inputs may carry a third (altitude)
@@ -153,6 +156,13 @@ def _size(value: Any, path: str) -> tuple[float, float]:
     return (w, l)
 
 
+def _heading(velocity: Vec2 | None) -> float:
+    """The direction of travel in radians; 0.0 for an unknown or zero velocity."""
+    if velocity is None or velocity == (0.0, 0.0):
+        return 0.0
+    return math.atan2(velocity.y, velocity.x)
+
+
 def _ego_state(obj: Any, path: str) -> ObjectState:
     center = _point(_require(obj, "center", path), f"{path}.center")
     velocity = _velocity(_require(obj, "velocity", path), f"{path}.velocity")
@@ -160,10 +170,8 @@ def _ego_state(obj: Any, path: str) -> ObjectState:
         raise IngestError(f"{path}.velocity: ego velocity must be known and finite")
     if "yaw" in obj and obj["yaw"] is not None:
         yaw = _finite(obj["yaw"], f"{path}.yaw")
-    elif velocity != (0.0, 0.0):
-        yaw = math.atan2(velocity.y, velocity.x)
     else:
-        yaw = 0.0
+        yaw = _heading(velocity)
     size = _size(obj["size"], f"{path}.size") if obj.get("size") is not None else DEFAULT_EGO_SIZE
     return ObjectState(EGO_ID, EGO_ID, center, velocity, size, yaw)
 
@@ -315,47 +323,7 @@ def dump_json(data: Any, path: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Filtering views used by every evaluation path.
-
-
-def filter_eval_range(
-    frame: Frame, detections: list[Detection], max_range: float
-) -> tuple[Frame, list[Detection]]:
-    """Drop ground truth and detections farther than ``max_range`` from ego.
-
-    The comparison is inclusive; ego itself is untouched.
-    """
-    if not 0 < max_range < math.inf:
-        raise ValueError(f"max_range must be positive and finite, got {max_range!r}")
-    ex, ey = frame.ego.center
-    kept_gt = [
-        g for g in frame.ground_truth
-        if math.hypot(g.center.x - ex, g.center.y - ey) <= max_range
-    ]
-    kept_det = [
-        d for d in detections
-        if math.hypot(d.state.center.x - ex, d.state.center.y - ey) <= max_range
-    ]
-    return Frame(frame.frame_id, frame.timestamp, frame.ego, kept_gt), kept_det
-
-
-def select_class(
-    frame: Frame, detections: list[Detection], class_name: str
-) -> tuple[Frame, list[Detection]]:
-    """Keep only ground truth and detections of one class."""
-    if not class_name:
-        raise ValueError("class_name must be nonempty")
-    kept_gt = [g for g in frame.ground_truth if g.class_name == class_name]
-    kept_det = [d for d in detections if d.state.class_name == class_name]
-    return Frame(frame.frame_id, frame.timestamp, frame.ego, kept_gt), kept_det
-
-
-def detections_by_frame(detections: Iterable[Detection]) -> dict[str, list[Detection]]:
-    """Group detections by frame_id, preserving order within each frame."""
-    grouped: dict[str, list[Detection]] = {}
-    for det in detections:
-        grouped.setdefault(det.frame_id, []).append(det)
-    return grouped
+# Ingest diagnostics.
 
 
 def ingest_summary(dataset: Dataset, detections: Iterable[Detection]) -> dict[str, Any]:

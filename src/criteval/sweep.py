@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from .criticality import CriticalityConfig
-from .metrics import CurveAccumulator, ap_from_arrays, ap_function
+from .metrics import DEFAULT_EVAL_RANGE, CurveAccumulator, ap_from_arrays, ap_function
 from .model import Dataset, Detection, IngestError
 
 SWEEP_CSV_HEADER = ["detector", "class", "l", "d_max", "r_max", "t_max", "ap", "ap_crit"]
@@ -91,7 +91,7 @@ def evaluate_sweep(
     dist_limits: Sequence[float],
     class_name: str,
     ap_style: str = "paper",
-    max_range: float = 50.0,
+    max_range: float = DEFAULT_EVAL_RANGE,
     workers: int | None = None,
 ) -> list[SweepRow]:
     """Complete table, sorted by detector, limit, d_max, r_max, t_max.

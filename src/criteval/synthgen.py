@@ -15,6 +15,8 @@ from typing import Any
 import numpy as np
 
 from .model import (
+    DEFAULT_EGO_SIZE,
+    EGO_ID,
     Dataset,
     Detection,
     Frame,
@@ -22,6 +24,7 @@ from .model import (
     ObjectState,
     Vec2,
     _finite,
+    _heading,
     _nonempty_str,
     _point,
     _require,
@@ -135,24 +138,18 @@ class ErrorModel:
         return steps[-1][1] if steps else 0.0
 
 
-def _heading(velocity: Vec2 | None) -> float:
-    if velocity is None or (velocity.x == 0.0 and velocity.y == 0.0):
-        return 0.0
-    return math.atan2(velocity.y, velocity.x)
-
-
 def gen_dataset(spec: ScenarioSpec) -> Dataset:
     """Frames sampled every 0.5 s; objects with unknown velocity stay put."""
     frames: list[Frame] = []
     for k in range(spec.n_frames):
         t = k * KEYFRAME_INTERVAL
         ego = ObjectState(
-            object_id="ego",
-            class_name="ego",
+            object_id=EGO_ID,
+            class_name=EGO_ID,
             center=Vec2(spec.ego_start.x + spec.ego_velocity.x * t,
                         spec.ego_start.y + spec.ego_velocity.y * t),
             velocity=spec.ego_velocity,
-            size=(2.0, 5.0),
+            size=DEFAULT_EGO_SIZE,
             yaw=_heading(spec.ego_velocity),
         )
         objects = []
@@ -341,7 +338,7 @@ def error_model_from_dict(data: Any, path: str = "$") -> ErrorModel:
         for i, step in enumerate(miss):
             if not isinstance(step, list) or len(step) != 2:
                 raise IngestError(f"{miss_path}[{i}]: expected [distance_limit, prob]")
-        miss = [(_finite(limit, f"{miss_path}[{i}][0]"),
+        miss = [(_number_in(limit, f"{miss_path}[{i}][0]", 0.0),
                  _number_in(prob, f"{miss_path}[{i}][1]", 0.0, 1.0))
                 for i, (limit, prob) in enumerate(miss)]
         for i in range(1, len(miss)):
@@ -349,18 +346,17 @@ def error_model_from_dict(data: Any, path: str = "$") -> ErrorModel:
                 raise IngestError(f"{miss_path}[{i}][0]: expected a value greater than "
                                   f"{miss[i - 1][0]!r}, got {miss[i][0]!r}")
     fields: dict[str, Any] = {"miss_prob_by_distance": miss}
-    for key in ("center_noise_sigma", "velocity_noise_sigma", "fp_rate_per_frame"):
+    for key in ("center_noise_sigma", "velocity_noise_sigma", "fp_rate_per_frame", "fp_radius"):
         if key in data:
             fields[key] = _number_in(data[key], f"{path}.{key}", 0.0)
-    if "fp_radius" in data:
-        fields["fp_radius"] = _finite(data["fp_radius"], f"{path}.fp_radius")
     if "confidence_model" in data:
         conf, conf_path = data["confidence_model"], f"{path}.confidence_model"
         fields["confidence_model"] = {
             kind: {
-                key: _finite(_require(_require(conf, kind, conf_path), key, f"{conf_path}.{kind}"),
-                             f"{conf_path}.{kind}.{key}")
-                for key in ("mean", "std")
+                key: _number_in(
+                    _require(_require(conf, kind, conf_path), key, f"{conf_path}.{kind}"),
+                    f"{conf_path}.{kind}.{key}", 0.0, high)
+                for key, high in (("mean", 1.0), ("std", math.inf))
             }
             for kind in ("true", "false")
         }

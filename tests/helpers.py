@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from criteval.criticality import CriticalityConfig, criticality_components
-from criteval.matching import MatchResult
+from criteval.matching import greedy_assign
 from criteval.metrics import CurvePoint, EvaluationReport, _ratio
 from criteval.model import Dataset, Detection, Frame, ObjectState, Vec2
 from criteval.synthgen import ScenarioObject, ScenarioSpec, SplitMix64, gen_dataset
@@ -75,6 +75,50 @@ def weighted_pr(counts: WeightedCounts) -> tuple[float, float]:
     return _scalar_ratios((counts.sum_tp_gt, counts.sum_tp_pred),
                           (counts.sum_tp_pred + counts.sum_fp_pred,
                            counts.sum_tp_gt + counts.sum_fn_gt))
+
+
+def in_scope(
+    frame: Frame, dets: list[Detection], class_name: str, max_range: float
+) -> tuple[list[ObjectState], list[Detection]]:
+    """The frame's ground truths and detections of one class within ``max_range`` of the ego.
+
+    The range is inclusive; input order is kept (test oracle).
+    """
+    ex, ey = frame.ego.center
+    near = lambda s: math.hypot(s.center.x - ex, s.center.y - ey) <= max_range
+    gts = [g for g in frame.ground_truth if g.class_name == class_name and near(g)]
+    kept = [d for d in dets if d.frame_id == frame.frame_id
+            and d.state.class_name == class_name and near(d.state)]
+    return gts, kept
+
+
+@dataclasses.dataclass(frozen=True)
+class MatchResult:
+    """Per-frame partition into TP pairs, FP predictions and FN ground truths."""
+
+    tp: list[tuple[ObjectState, ObjectState]]
+    fp: list[ObjectState]
+    fn: list[ObjectState]
+    distance_limit: float
+    threshold: float
+
+
+def match_frame(
+    gts: list[ObjectState],
+    preds: list[Detection],
+    distance_limit: float,
+    threshold: float,
+) -> MatchResult:
+    """Match one frame's detections (already class- and range-filtered)."""
+    if not 0 < distance_limit < math.inf:
+        raise ValueError(f"distance_limit must be positive and finite, got {distance_limit!r}")
+    kept = [d for d in preds if d.confidence >= threshold]
+    assignment = greedy_assign(gts, kept, distance_limit)
+    tp = [(gts[j], det.state) for det, j in assignment if j is not None]
+    fp = [det.state for det, j in assignment if j is None]
+    matched = {j for _, j in assignment if j is not None}
+    fn = [gt for j, gt in enumerate(gts) if j not in matched]
+    return MatchResult(tp, fp, fn, distance_limit, threshold)
 
 
 def counts_from_match(match: MatchResult, ego: ObjectState, cfg: CriticalityConfig) -> WeightedCounts:

@@ -194,6 +194,7 @@ def test_bad_distance_limits_exit_one_and_write_nothing(synthetic_inputs, tmp_pa
         ("--max-range", "inf", "max_range must be positive and finite, got inf"),
         ("--max-range", "1e400", "max_range must be positive and finite, got inf"),
         ("--max-range", "nan", "max_range must be positive and finite, got nan"),
+        ("--class", "", "class_name must be nonempty"),
     ],
 )
 @pytest.mark.parametrize("frames", ["all", "none"])
@@ -322,6 +323,12 @@ def test_generate_spec_missing_field_exits_one(tmp_path, capsys, nested, drop, m
         ({"x": {"miss_prob_by_distance": [[50, 0.5], [25, 0.05]]}}, "$.detectors.x.miss_prob_by_distance[1][0]: expected a value greater than 50.0, got 25.0"),
         ({"x": {"miss_prob_by_distance": [[25, 0.5], [25, 0.05]]}}, "$.detectors.x.miss_prob_by_distance[1][0]: expected a value greater than 25.0, got 25.0"),
         ({"x": {"confidence_model": {"true": {"mean": 0.8, "std": 0.1}}}}, "$.detectors.x.confidence_model: missing required field 'false'"),
+        ({"x": {"fp_radius": -20}}, "$.detectors.x.fp_radius: expected a number in [0, inf], got -20.0"),
+        ({"x": {"confidence_model": {"true": {"mean": 0.8, "std": -0.1}, "false": {"mean": 0.3, "std": 0.1}}}},
+         "$.detectors.x.confidence_model.true.std: expected a number in [0, inf], got -0.1"),
+        ({"x": {"confidence_model": {"true": {"mean": 0.8, "std": 0.1}, "false": {"mean": 5, "std": 0.1}}}},
+         "$.detectors.x.confidence_model.false.mean: expected a number in [0, 1], got 5.0"),
+        ({"x": {"miss_prob_by_distance": [[-5, 0.9]]}}, "$.detectors.x.miss_prob_by_distance[0][0]: expected a number in [0, inf], got -5.0"),
         ({"x": 3}, "$.detectors.x: expected an object"),
         (["x"], "$.detectors: expected an object"),
     ],
@@ -406,6 +413,17 @@ def test_rank_absent_config_names_it_and_the_configs_present(tmp_path, capsys):
 
 
 _RANK_HEADER = "detector,class,l,d_max,r_max,t_max,ap,ap_crit\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--l", "1"], ["--config", "20,20,8"]])
+def test_rank_table_without_rows_exits_one(tmp_path, capsys, extra):
+    table = tmp_path / "sweep.csv"
+    table.write_text(_RANK_HEADER)
+    code = main(["rank", "--table", str(table), "--metric", "ap", *extra])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {table}: no rows\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -506,6 +524,22 @@ def test_birdview_command_matches_golden(tmp_path):
     code = main(
         ["birdview", "--gt", str(DATA / "headon_gt.json"),
          "--pred", str(DATA / "headon_pred.json"), "--frame", "f0",
+         "--weight", "kappa", "--dmax", "30", "--rmax", "20", "--tmax", "8",
+         "--out", str(out)]
+    )
+    assert code == 0
+    assert out.read_bytes() == (DATA / "birdview_golden_kappa.svg").read_bytes()
+
+
+def test_birdview_draws_only_the_requested_frame(tmp_path):
+    f0 = json.loads((DATA / "headon_pred.json").read_text())["results"]["f0"]
+    shifted = [dict(d, center=[d["center"][0] + 3.0, d["center"][1] - 2.0]) for d in f0]
+    pred = tmp_path / "pred.json"
+    # The other frame comes first, so taking the first frame's detections would show.
+    pred.write_text(json.dumps({"results": {"f1": shifted, "f0": f0}}))
+    out = tmp_path / "view.svg"
+    code = main(
+        ["birdview", "--gt", str(DATA / "headon_gt.json"), "--pred", str(pred), "--frame", "f0",
          "--weight", "kappa", "--dmax", "30", "--rmax", "20", "--tmax", "8",
          "--out", str(out)]
     )

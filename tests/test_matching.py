@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from criteval.matching import distance_limits_default, greedy_assign, match_frame
+from criteval.matching import distance_limits_default, greedy_assign
 from criteval.model import Detection
 
-from helpers import brute_force_assign, make_state
+from helpers import brute_force_assign, make_state, match_frame
 
 
 def det(center, conf, object_id="d"):

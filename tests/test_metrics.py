@@ -18,7 +18,6 @@ from criteval.criticality import (
     CriticalityConfig,
     weights_from_class,
 )
-from criteval.matching import match_frame
 from criteval.metrics import (
     CurveAccumulator,
     CurvePoint,
@@ -43,9 +42,11 @@ from helpers import (
     classic_pr,
     counts_from_match,
     curve_csv_oracle,
+    in_scope,
     make_ego,
     make_frame,
     make_state,
+    match_frame,
     perfect_detections,
     random_scenario_spec,
     report_json_oracle,
@@ -250,8 +251,6 @@ def _sum_counts(items):
 
 def test_curve_matches_per_threshold_rematch_oracle():
     # Independent route: re-match every frame at each threshold and sum counts.
-    from criteval.model import detections_by_frame, filter_eval_range, select_class
-
     spec = random_scenario_spec(seed=11, n_frames=5)
     dataset = gen_dataset(spec)
     detections = corrupt(
@@ -262,14 +261,12 @@ def test_curve_matches_per_threshold_rematch_oracle():
     )
     limit = 2.0
     curve = build_curve(dataset, detections, "car", limit, CFG)
-    grouped = detections_by_frame(detections)
     for pt in curve:
         per_frame = []
         for frame in dataset.frames:
-            sub, dets = select_class(frame, grouped.get(frame.frame_id, []), "car")
-            sub, dets = filter_eval_range(sub, dets, 50.0)
-            result = match_frame(sub.ground_truth, dets, limit, pt.threshold)
-            per_frame.append(counts_from_match(result, sub.ego, CFG))
+            gts, dets = in_scope(frame, detections, "car", 50.0)
+            result = match_frame(gts, dets, limit, pt.threshold)
+            per_frame.append(counts_from_match(result, frame.ego, CFG))
         total = _sum_counts(per_frame)
         assert total.sum_tp_gt <= total.n_tp and total.sum_tp_pred <= total.n_tp
         assert total.sum_fp_pred <= total.n_fp and total.sum_fn_gt <= total.n_fn

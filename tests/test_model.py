@@ -1,4 +1,4 @@
-"""Ingestion, validation, serialization round-trips and filtering views."""
+"""Ingestion, validation, serialization round-trips and the evaluation scope."""
 
 import copy
 import json
@@ -7,7 +7,7 @@ import math
 import pytest
 
 from criteval.criticality import CriticalityConfig
-from criteval.metrics import build_curve
+from criteval.metrics import CurveAccumulator, build_curve
 from criteval.model import (
     Dataset,
     Detection,
@@ -15,14 +15,11 @@ from criteval.model import (
     Vec2,
     dataset_from_dict,
     dataset_to_dict,
-    detections_by_frame,
     detections_from_dict,
     detections_to_dict,
-    filter_eval_range,
     ingest_summary,
     load_detections,
     load_ground_truth,
-    select_class,
 )
 
 from helpers import make_ego, make_frame, make_state
@@ -200,8 +197,7 @@ def test_detection_order_preserved_within_frame():
             ]
         }
     }
-    grouped = detections_by_frame(detections_from_dict(doc))
-    assert [d.state.center.x for d in grouped["f0"]] == [1.0, 2.0]
+    assert [d.state.center.x for d in detections_from_dict(doc)] == [1.0, 2.0]
 
 
 def test_ingest_summary_reports_unknown_frames():
@@ -213,72 +209,59 @@ def test_ingest_summary_reports_unknown_frames():
     assert summary["n_gt_objects"] == 1
 
 
-@pytest.mark.parametrize(
-    "distance,kept", [(49.9, True), (50.0, True), (50.1, False)]
-)
-def test_filter_eval_range_boundaries(distance, kept):
+def scope(frames, dets, class_name="car", max_range=50.0):
+    return CurveAccumulator(Dataset(frames=list(frames)), dets, class_name, [1.0], max_range)
+
+
+@pytest.mark.parametrize("distance,kept", [(49.9, True), (50.0, True), (50.1, False)])
+def test_eval_range_boundaries(distance, kept):
     frame = make_frame(objects=[make_state(center=(distance, 0.0))])
-    dets = [Detection("f0", make_state(object_id="d", center=(distance, 0.0)), 0.9)]
-    out_frame, out_dets = filter_eval_range(frame, dets, 50.0)
-    assert (len(out_frame.ground_truth) == 1) is kept
-    assert (len(out_dets) == 1) is kept
-    assert out_frame.ego == frame.ego
+    det = Detection("f0", make_state(object_id="d", center=(0.0, distance)), 0.9)
+    acc = scope([frame], [det])
+    assert acc.n_gt == int(kept)
+    assert len(acc._conf) == int(kept)
 
 
-def test_filter_eval_range_requires_positive_range():
-    with pytest.raises(ValueError):
-        filter_eval_range(make_frame(), [], 0.0)
+def test_eval_range_is_centered_on_ego():
+    ego = make_ego(center=(100.0, 0.0))
+    frame = make_frame(ego=ego, objects=[make_state(object_id="near", center=(140.0, 0.0)),
+                                         make_state(object_id="origin", center=(0.0, 0.0))])
+    dets = [Detection("f0", make_state(object_id="d1", center=(60.0, 0.0)), 0.9),
+            Detection("f0", make_state(object_id="d2", center=(0.0, 0.0)), 0.8)]
+    acc = scope([frame], dets)
+    assert acc.n_gt == 1
+    assert acc._conf.tolist() == [0.9]
 
 
-@pytest.mark.parametrize("max_range", [math.inf, math.nan])
-def test_filter_eval_range_requires_finite_range(max_range):
-    with pytest.raises(ValueError, match=f"max_range must be positive and finite, got {max_range!r}"):
-        filter_eval_range(make_frame(), [], max_range)
+@pytest.mark.parametrize("frames", [[], [make_frame()]], ids=["no-frames", "one-frame"])
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"max_range": v}, f"max_range must be positive and finite, got {v!r}")
+     for v in (0.0, -1.0, math.inf, math.nan)] + [({"class_name": ""}, "class_name must be nonempty")],
+)
+def test_bad_range_or_class_is_rejected_with_or_without_frames(frames, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        scope(frames, [], **kwargs)
 
 
-def test_select_class_examples():
+def test_class_selection():
     frame = make_frame(
         objects=[
             make_state(object_id="c1", class_name="car"),
             make_state(object_id="p1", class_name="pedestrian"),
+            make_state(object_id="c2", class_name="car"),
         ]
     )
     dets = [
         Detection("f0", make_state(object_id="d1", class_name="car"), 0.9),
         Detection("f0", make_state(object_id="d2", class_name="pedestrian"), 0.8),
     ]
-    out_frame, out_dets = select_class(frame, dets, "car")
-    assert [g.object_id for g in out_frame.ground_truth] == ["c1"]
-    assert [d.state.object_id for d in out_dets] == ["d1"]
-
-    empty_frame, empty_dets = select_class(frame, dets, "bicycle")
-    assert empty_frame.ground_truth == [] and empty_dets == []
-
-    all_car_frame = make_frame(objects=[make_state(object_id="c1")])
-    same_frame, _ = select_class(all_car_frame, [], "car")
-    assert same_frame.ground_truth == all_car_frame.ground_truth
-
-
-def test_filter_idempotent_and_commutes_with_select_class():
-    objects = [
-        make_state(object_id=f"o{i}", class_name="car" if i % 2 else "truck",
-                   center=(10.0 * i, 3.0 * i))
-        for i in range(8)
-    ]
-    dets = [
-        Detection("f0", make_state(object_id=f"d{i}", class_name="car",
-                                   center=(7.0 * i, -2.0 * i)), 0.5)
-        for i in range(8)
-    ]
-    frame = make_frame(objects=objects)
-
-    once = filter_eval_range(frame, dets, 40.0)
-    twice = filter_eval_range(once[0], once[1], 40.0)
-    assert once == twice
-
-    a = select_class(*filter_eval_range(frame, dets, 40.0), "car")
-    b = filter_eval_range(*select_class(frame, dets, "car"), 40.0)
-    assert a == b
+    car = scope([frame], dets, "car")
+    assert (car.n_gt, car._conf.tolist()) == (2, [0.9])
+    pedestrian = scope([frame], dets, "pedestrian")
+    assert (pedestrian.n_gt, pedestrian._conf.tolist()) == (1, [0.8])
+    bicycle = scope([frame], dets, "bicycle")
+    assert (bicycle.n_gt, len(bicycle._conf)) == (0, 0)
 
 
 def test_altitude_component_is_ignored(tmp_path):
