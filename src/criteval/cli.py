@@ -54,6 +54,16 @@ def _warn_unknown_frames(ingest: dict) -> None:
         )
 
 
+def _require_class(dataset: model.Dataset, tables: list[model.DetectionTable],
+                   class_name: str) -> None:
+    """A class that no input has would score a vacuous 1.0: reject it as a likely typo."""
+    present = {g.class_name for f in dataset.frames for g in f.ground_truth}
+    present.update(*(table.classes for table in tables))
+    if class_name not in present:
+        raise ValueError(f"class {class_name!r} is in no ground truth or detection; "
+                         f"classes present: {', '.join(sorted(present)) or 'none'}")
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = model.load_ground_truth(args.gt)
     detections = model.load_detections(args.pred)
@@ -69,6 +79,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     _warn_unknown_frames(report.ingest)
+    _require_class(dataset, [detections], args.class_name)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics.write_report_json(report, out / "report.json")
@@ -89,7 +100,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     dataset = model.load_ground_truth(args.gt)
-    detectors: dict[str, list[model.Detection]] = {}
+    detectors: dict[str, model.DetectionTable] = {}
     for spec in args.pred:
         name, sep, path = spec.partition("=")
         if not sep:
@@ -109,6 +120,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         max_range=args.max_range,
         workers=args.workers,
     )
+    _require_class(dataset, list(detectors.values()), args.class_name)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sweep.write_sweep_csv(rows, out / "sweep.csv")
@@ -181,8 +193,7 @@ def _cmd_birdview(args: argparse.Namespace) -> int:
         frame = dataset.frame(args.frame)
     except KeyError:
         raise ValueError(f"unknown frame_id {args.frame!r}") from None
-    detections = model.load_detections(args.pred) if args.pred else []
-    dets = [d for d in detections if d.frame_id == args.frame]
+    dets = model.load_detections(args.pred).in_frame(args.frame) if args.pred else []
     cfg = CriticalityConfig(args.dmax, args.rmax, args.tmax)
     svg = render.render_birdview(frame, dets, cfg, weight=args.weight)
     out = Path(args.out)

@@ -66,10 +66,12 @@ def combine(kd: float, kr: float, kt: float) -> float:
     return 1.0 - (1.0 - kd) * (1.0 - kr) * (1.0 - kt)
 
 
-def classify(ego: ObjectState, obj: ObjectState) -> tuple[int, float, float, float]:
+def classify(ego: tuple, obj: tuple) -> tuple[int, float, float, float]:
     """Cap-independent geometry summary ``(case, d_egoB, d_egoC, delta_t)``.
 
-    Ego is held still; the object moves with the relative velocity
+    ``ego`` and ``obj`` are ``(x, y, velocity)`` (:attr:`ObjectState.motion`),
+    a velocity being a ``(vx, vy)`` pair or None when unknown. Ego is held
+    still; the object moves with the relative velocity
     ``v_obj - v_ego``. Its closest point C to ego is found by projecting onto
     the unit velocity, so a single zero velocity component needs no slope
     branch, and the geometry is undefined only when the relative velocity is
@@ -78,14 +80,14 @@ def classify(ego: ObjectState, obj: ObjectState) -> tuple[int, float, float, flo
     its distance to C over its speed, may overflow. ``d_egoC`` and
     ``delta_t`` are stored as 0.0 for the cases that do not use them.
     """
-    if ego.velocity is None:
+    ex, ey, ego_velocity = ego
+    bx, by, velocity = obj
+    if ego_velocity is None:
         raise ValueError("ego velocity must be known")
-    ex, ey = ego.center
-    bx, by = obj.center
     d_ego_b = math.hypot(bx - ex, by - ey)
-    if obj.velocity is None:
+    if velocity is None:
         return (CASE_MISSING_VELOCITY, d_ego_b, 0.0, 0.0)
-    vx, vy = obj.velocity.x - ego.velocity.x, obj.velocity.y - ego.velocity.y
+    vx, vy = velocity[0] - ego_velocity[0], velocity[1] - ego_velocity[1]
     if vx == 0.0 and vy == 0.0:
         return (CASE_ZERO_REL_VELOCITY, d_ego_b, 0.0, 0.0)
     speed = math.hypot(vx, vy)
@@ -127,5 +129,5 @@ def criticality_components(
     the caller chooses which state to pass. Ego state is always ground
     truth.
     """
-    case, d_ego_b, d_ego_c, delta_t = classify(ego, obj)
+    case, d_ego_b, d_ego_c, delta_t = classify(ego.motion, obj.motion)
     return weights_from_class(case, d_ego_b, d_ego_c, delta_t, cfg)

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-
-from .model import Detection, ObjectState
+from typing import Sequence
 
 
 def distance_limits_default() -> list[float]:
@@ -26,23 +25,23 @@ def distance_limits_default() -> list[float]:
 
 
 def greedy_assign(
-    gts: list[ObjectState], detections: list[Detection], distance_limit: float
-) -> list[tuple[Detection, int | None]]:
+    gts: Sequence[Sequence[float]], detections: Sequence[Sequence[float]], distance_limit: float
+) -> list[tuple[int, int | None]]:
     """Assign each detection to a ground-truth index or None (false positive).
 
-    Returned in processing order: descending confidence, stable for ties.
+    A ground truth is ``(x, y, ...)`` and a detection ``(x, y, confidence)``.
+    Returns ``(detection index, ground-truth index or None)`` pairs in
+    processing order: descending confidence, stable for ties.
     """
-    order = sorted(range(len(detections)), key=lambda i: -detections[i].confidence)
+    order = sorted(range(len(detections)), key=lambda i: -detections[i][2])
     # Unmatched ground truths by center x. A non-finite x is never within a
     # limit (its distance is inf or nan), so it is left out.
-    open_gts = sorted((gt.center.x, j, gt.center.y) for j, gt in enumerate(gts)
-                      if abs(gt.center.x) < math.inf)
+    open_gts = sorted((gt[0], j, gt[1]) for j, gt in enumerate(gts) if abs(gt[0]) < math.inf)
     xs = [x for x, _, _ in open_gts]
     reach = 2.0 * distance_limit
-    out: list[tuple[Detection, int | None]] = []
+    out: list[tuple[int, int | None]] = []
     for i in order:
-        det = detections[i]
-        cx, cy = det.state.center
+        cx, cy = detections[i][0], detections[i][1]
         # best = -1 until a match: an inf distance under an inf limit never
         # wins, as in a scan that keeps the first strictly smaller distance.
         best, best_k, best_dist = -1, -1, math.inf
@@ -53,9 +52,9 @@ def greedy_assign(
             if dist <= distance_limit and (dist < best_dist or dist == best_dist and j < best):
                 best, best_k, best_dist = j, k, dist
         if best < 0:
-            out.append((det, None))
+            out.append((i, None))
         else:
             del xs[best_k], open_gts[best_k]
-            out.append((det, best))
+            out.append((i, best))
     return out
 

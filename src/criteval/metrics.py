@@ -31,7 +31,7 @@ from .criticality import (
     classify,
 )
 from .matching import greedy_assign
-from .model import Dataset, Detection, ingest_summary
+from .model import Dataset, Detection, DetectionTable, ingest_summary
 
 DEFAULT_EVAL_RANGE = 50.0
 AP_MIN_RECALL = 0.1
@@ -173,32 +173,39 @@ class CurveAccumulator:
         if not class_name:
             raise ValueError("class_name must be nonempty")
 
-        # The detections of the class by frame, in input order.
-        grouped: dict[str, list[Detection]] = {}
-        for det in detections:
-            if det.state.class_name == class_name:
-                grouped.setdefault(det.frame_id, []).append(det)
+        table = DetectionTable.of(detections)
+        # The rows of the class, and each frame's positions among them, in input order.
+        rows = np.flatnonzero(table.class_index == (
+            table.classes.index(class_name) if class_name in table.classes else -1))
+        bounds = np.searchsorted(rows, table.offsets).tolist()
+        by_frame: dict[str, list[int]] = {}
+        for frame_id, start, stop in zip(table.frame_ids, bounds, bounds[1:]):
+            by_frame.setdefault(frame_id, []).extend(range(start, stop))
+        x, y, vx, vy, known, confidence = (column[rows].tolist() for column in (
+            table.x, table.y, table.vx, table.vy, table.velocity_known, table.confidence))
+        velocity = [(a, b) if k else None for a, b, k in zip(vx, vy, known)]
         gt_rows: list[tuple[int, float, float, float]] = []
         pred_rows: list[tuple[int, float, float, float]] = []
         conf: list[float] = []
         # The matched ground truth (-1 if none) of each prediction, one array per limit.
         matches = [array("q") for _ in limits]
         for frame in sorted(dataset.frames, key=lambda f: f.frame_id):
-            ego = frame.ego
-            ex, ey = ego.center
-            gts = [g for g in frame.ground_truth if g.class_name == class_name
+            ego = frame.ego.motion
+            ex, ey, _ = ego
+            gts = [g.motion for g in frame.ground_truth if g.class_name == class_name
                    and math.hypot(g.center.x - ex, g.center.y - ey) <= max_range]
-            dets = [d for d in grouped.get(frame.frame_id, ())
-                    if math.hypot(d.state.center.x - ex, d.state.center.y - ey) <= max_range]
+            dets = [p for p in by_frame.get(frame.frame_id, ())
+                    if math.hypot(x[p] - ex, y[p] - ey) <= max_range]
             base = len(gt_rows)
             gt_rows.extend(classify(ego, gt) for gt in gts)
             # Within-frame rank order; greedy_assign keeps it, as its sort is stable.
-            dets.sort(key=lambda d: -d.confidence)
-            pred_rows.extend(classify(ego, det.state) for det in dets)
-            conf.extend(det.confidence for det in dets)
+            dets.sort(key=lambda p: -confidence[p])
+            pred_rows.extend(classify(ego, (x[p], y[p], velocity[p])) for p in dets)
+            conf.extend(confidence[p] for p in dets)
+            centers = [(x[p], y[p], confidence[p]) for p in dets]
             for match, limit in zip(matches, limits):
                 match.extend(-1 if j is None else base + j
-                             for _, j in greedy_assign(gts, dets, limit))
+                             for _, j in greedy_assign(gts, centers, limit))
         # Frames come in frame_id order, so a stable sort makes the global order.
         order = np.argsort(-np.array(conf, dtype=np.float64), kind="stable")
 
@@ -426,8 +433,8 @@ def evaluate_detector(
 
     Runs on one thread; ``workers`` is accepted for compatibility and ignored.
     """
-    detections = list(detections)
     ap_function(ap_style)  # rejects an unknown style before any work
+    detections = DetectionTable.of(detections)
     acc = CurveAccumulator(dataset, detections, class_name, dist_limits, max_range)
     results = []
     for distance_limit, arrays in zip(acc.dist_limits, acc.curve_arrays(cfg)):

@@ -29,15 +29,22 @@ Detection schema (a 2D subset of nuScenes-style result files)::
                                  "size": [width, length], "yaw": float,
                                  "confidence": float}]},
      "meta": {...}}
+
+:func:`load_detections` returns a :class:`DetectionTable`: one column per
+field, checked a column at a time. It is a read-only sequence of
+:class:`Detection` objects, built one at a time when indexed or iterated.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 EGO_ID = "ego"
 DEFAULT_EGO_SIZE = (2.0, 5.0)
@@ -66,6 +73,11 @@ class ObjectState:
     velocity: Vec2 | None
     size: tuple[float, float]
     yaw: float
+
+    @property
+    def motion(self) -> tuple[float, float, Vec2 | None]:
+        """``(x, y, velocity)``, as :func:`criteval.criticality.classify` takes an object."""
+        return (*self.center, self.velocity)
 
 
 @dataclass(frozen=True)
@@ -97,6 +109,95 @@ class Dataset:
             if f.frame_id == frame_id:
                 return f
         raise KeyError(frame_id)
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionTable(Sequence[Detection]):
+    """Detections as read-only columns, one row per detection, in input order.
+
+    Rows ``offsets[k]:offsets[k + 1]`` are a nonempty run of frame ``frame_ids[k]``.
+    A row's class is ``classes[class_index[row]]``; its velocity is
+    ``(vx, vy)`` where ``velocity_known``, else missing. Indexing or
+    iterating builds each :class:`Detection` when it is asked for, with
+    ``object_id`` ``det{j}`` for the ``j``-th row of its run.
+    """
+
+    frame_ids: tuple[str, ...]
+    offsets: np.ndarray
+    classes: tuple[str, ...]
+    class_index: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
+    velocity_known: np.ndarray
+    width: np.ndarray
+    length: np.ndarray
+    yaw: np.ndarray
+    confidence: np.ndarray
+
+    @classmethod
+    def of(cls, detections: Iterable[Detection]) -> DetectionTable:
+        """``detections`` as a table; a table is returned as it is.
+
+        Read back, a row has the ``det{j}`` object id and the float fields of a loaded file.
+        """
+        if isinstance(detections, DetectionTable):
+            return detections
+        objects = list(detections)
+        starts = [i for i, d in enumerate(objects) if not i or d.frame_id != objects[i - 1].frame_id]
+        states = [d.state for d in objects]
+        codes: dict[str, int] = {}
+        class_index = [codes.setdefault(s.class_name, len(codes)) for s in states]
+        return _table([objects[i].frame_id for i in starts], starts + [len(objects)], codes,
+                      class_index, [(*s.center, s.size[0], s.size[1], s.yaw, d.confidence)
+                                    for s, d in zip(states, objects)],
+                      [s.velocity or (math.nan, math.nan) for s in states],
+                      [s.velocity is not None for s in states])
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, index: int | slice) -> Any:
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        return next(self._rows(i, i + 1))
+
+    def __iter__(self) -> Iterator[Detection]:
+        return self._rows(0, len(self))
+
+    def in_frame(self, frame_id: str) -> list[Detection]:
+        """The detections of one frame, built from its rows alone."""
+        bounds = self.offsets.tolist()
+        return [det for k, f in enumerate(self.frame_ids) if f == frame_id
+                for det in self._rows(bounds[k], bounds[k + 1])]
+
+    def _rows(self, start: int, stop: int) -> Iterator[Detection]:
+        bounds = self.offsets.tolist()
+        k = bisect_right(bounds, start) - 1
+        columns = (c[start:stop].tolist() for c in (
+            self.class_index, self.x, self.y, self.vx, self.vy, self.velocity_known,
+            self.width, self.length, self.yaw, self.confidence))
+        for i, (c, x, y, vx, vy, known, w, l, yaw, conf) in enumerate(zip(*columns), start):
+            while bounds[k + 1] <= i:
+                k += 1
+            state = ObjectState(f"det{i - bounds[k]}", self.classes[c], Vec2(x, y),
+                                Vec2(vx, vy) if known else None, (w, l), yaw)
+            yield Detection(self.frame_ids[k], state, conf)
+
+
+def _table(frame_ids: list[str], offsets: list[int], codes: dict[str, int],
+           class_index: list[int], numbers: Any, velocity: Any, known: Any) -> DetectionTable:
+    """The table of rows of (x, y, width, length, yaw, confidence) and of (vx, vy)."""
+    num = np.reshape(np.asarray(numbers, dtype=np.float64), (-1, 6))
+    vel = np.reshape(np.asarray(velocity, dtype=np.float64), (-1, 2))
+    columns = (np.array(offsets, dtype=np.intp), np.array(class_index, dtype=np.intp),
+               num[:, 0], num[:, 1], vel[:, 0], vel[:, 1], np.array(known, dtype=bool),
+               *num[:, 2:].T)
+    for column in columns:
+        column.flags.writeable = False
+    return DetectionTable(tuple(frame_ids), columns[0], tuple(codes), *columns[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +330,16 @@ def dataset_from_dict(data: Any) -> Dataset:
 
 
 def read_json(path: str | Path) -> Any:
-    """Parse a JSON file; malformed JSON is an IngestError naming the file."""
-    with open(path) as f:
+    """Parse a UTF-8 JSON file; malformed JSON is an IngestError naming the file."""
+    with open(path, encoding="utf-8") as f:
         try:
             return json.load(f)
         except json.JSONDecodeError as e:
             raise IngestError(f"{path}: malformed JSON ({e})") from None
+        except UnicodeDecodeError as e:
+            raise IngestError(f"{path}: not UTF-8 text ({e})") from None
+        except RecursionError:
+            raise IngestError(f"{path}: JSON nested too deeply") from None
 
 
 def load_ground_truth(path: str | Path) -> Dataset:
@@ -265,9 +370,50 @@ def detections_from_dict(data: Any) -> list[Detection]:
     return detections
 
 
-def load_detections(path: str | Path) -> list[Detection]:
-    """Load and validate a detection-results JSON file."""
-    return detections_from_dict(read_json(path))
+def _columns(data: Any) -> DetectionTable | None:
+    """The table of a results document whose numbers are all plain, valid floats; else None.
+
+    One pass gathers the fields and one step checks each column. What this
+    accepts, :func:`detections_from_dict` accepts with the same detections.
+    """
+    results = data.get("results") if type(data) is dict else None
+    if type(results) is not dict:
+        return None
+    frame_ids, offsets, codes, class_index, numbers, velocity = [], [0], {}, [], [], []
+    try:
+        for frame_id, entries in results.items():
+            if type(entries) is not list:
+                return None
+            for obj in entries:
+                center, v, size = obj["center"], obj["velocity"], obj["size"]
+                class_index.append(codes.setdefault(obj["class"], len(codes)))
+                numbers += center[0], center[1], size[0], size[1], obj["yaw"], obj["confidence"]
+                velocity += (math.nan, math.nan) if v is None else (v[0], v[1])
+            if entries:
+                frame_ids.append(frame_id)
+                offsets.append(len(class_index))
+    except (LookupError, TypeError):  # a missing field, or a value of the wrong shape
+        return None
+    if not (all(type(c) is str and c for c in codes)
+            and set(map(type, numbers)) | set(map(type, velocity)) <= {float}):
+        return None
+    num, vel = np.reshape(numbers, (-1, 6)), np.reshape(velocity, (-1, 2))
+    conf = num[:, 5]
+    if not (np.isfinite(num[:, :5]).all() and (num[:, 2:4] > 0).all()
+            and ((conf >= 0.0) & (conf <= 1.0)).all()):
+        return None
+    return _table(frame_ids, offsets, codes, class_index, num, vel, np.isfinite(vel).all(axis=1))
+
+
+def load_detections(path: str | Path) -> DetectionTable:
+    """Load and validate a detection-results JSON file.
+
+    A file that :func:`_columns` declines is validated object by object, so
+    a fault is reported at its JSON location.
+    """
+    data = read_json(path)
+    table = _columns(data)
+    return DetectionTable.of(detections_from_dict(data)) if table is None else table
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +478,10 @@ def ingest_summary(dataset: Dataset, detections: Iterable[Detection]) -> dict[st
     Unknown frames are kept in the detection list but skipped during
     evaluation; callers should surface them as warnings.
     """
-    known = {f.frame_id for f in dataset.frames}
-    detections = list(detections)
-    unknown = sorted({d.frame_id for d in detections} - known)
+    table = DetectionTable.of(detections)
     return {
         "n_frames": len(dataset.frames),
         "n_gt_objects": sum(len(f.ground_truth) for f in dataset.frames),
-        "n_detections": len(detections),
-        "unknown_frame_ids": unknown,
+        "n_detections": len(table),
+        "unknown_frame_ids": sorted(set(table.frame_ids) - {f.frame_id for f in dataset.frames}),
     }

@@ -103,12 +103,12 @@ def evaluate_sweep(
     if not detections_by_detector:
         raise ValueError("at least one detector is required")
     ap_function(ap_style)  # rejects an unknown style before any work
-    materialized = {name: list(dets) for name, dets in detections_by_detector.items()}
     # configs() varies t_max fastest, so every len(t_values)-th one starts a slice.
     slice_heads = grid.configs()[:: len(grid.t_values)]
     rows: list[SweepRow] = []
-    for name in sorted(materialized):
-        acc = CurveAccumulator(dataset, materialized[name], class_name, dist_limits, max_range)
+    for name in sorted(detections_by_detector):
+        acc = CurveAccumulator(dataset, detections_by_detector[name], class_name, dist_limits,
+                               max_range)
         tables: dict[float, list[SweepRow]] = {limit: [] for limit in acc.dist_limits}
         for head in slice_heads:
             for (limit, table), (_, precision, recall, p_r, r_s) in zip(
@@ -188,22 +188,27 @@ def _finite_cell(rec: dict[str, str], column: str, where: str, positive: bool = 
 
 
 def read_sweep_csv(path: str | Path) -> list[SweepRow]:
-    """Rows of a sweep table.
+    """Rows of a UTF-8 sweep table.
 
     A cap or AP cell that is not a finite number is an error, and so is a
     limit or cap (``l``, ``d_max``, ``r_max``, ``t_max``) that is not positive.
     """
     rows: list[SweepRow] = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        missing = set(SWEEP_CSV_HEADER) - set(reader.fieldnames or [])
-        if missing:
-            raise ValueError(f"{path}: missing sweep columns {sorted(missing)}")
-        for rec in reader:
-            where = f"{path}:line {reader.line_num}"
-            cell = [_finite_cell(rec, c, where, positive=True) for c in SWEEP_CSV_HEADER[2:6]]
-            scores = [_finite_cell(rec, c, where) for c in SWEEP_CSV_HEADER[6:]]
-            rows.append(SweepRow(rec["detector"], rec["class"], *cell, *scores))
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.DictReader(f)
+            missing = set(SWEEP_CSV_HEADER) - set(reader.fieldnames or [])
+            if missing:
+                raise ValueError(f"{path}: missing sweep columns {sorted(missing)}")
+            for rec in reader:
+                where = f"{path}:line {reader.line_num}"
+                cell = [_finite_cell(rec, c, where, positive=True) for c in SWEEP_CSV_HEADER[2:6]]
+                scores = [_finite_cell(rec, c, where) for c in SWEEP_CSV_HEADER[6:]]
+                rows.append(SweepRow(rec["detector"], rec["class"], *cell, *scores))
+    except UnicodeDecodeError as e:
+        raise IngestError(f"{path}: not UTF-8 text ({e})") from None
+    except csv.Error as e:
+        raise IngestError(f"{path}: malformed CSV ({e})") from None
     return rows
 
 

@@ -103,6 +103,13 @@ class MatchResult:
     threshold: float
 
 
+def assign_inputs(
+    gts: list[ObjectState], detections: list[Detection]
+) -> tuple[list[tuple], list[tuple[float, float, float]]]:
+    """The arguments of ``greedy_assign``: GT ``(x, y, velocity)``, detection ``(x, y, confidence)``."""
+    return [g.motion for g in gts], [(*d.state.center, d.confidence) for d in detections]
+
+
 def match_frame(
     gts: list[ObjectState],
     preds: list[Detection],
@@ -113,9 +120,9 @@ def match_frame(
     if not 0 < distance_limit < math.inf:
         raise ValueError(f"distance_limit must be positive and finite, got {distance_limit!r}")
     kept = [d for d in preds if d.confidence >= threshold]
-    assignment = greedy_assign(gts, kept, distance_limit)
-    tp = [(gts[j], det.state) for det, j in assignment if j is not None]
-    fp = [det.state for det, j in assignment if j is None]
+    assignment = greedy_assign(*assign_inputs(gts, kept), distance_limit)
+    tp = [(gts[j], kept[i].state) for i, j in assignment if j is not None]
+    fp = [kept[i].state for i, j in assignment if j is None]
     matched = {j for _, j in assignment if j is not None}
     fn = [gt for j, gt in enumerate(gts) if j not in matched]
     return MatchResult(tp, fp, fn, distance_limit, threshold)
@@ -136,26 +143,28 @@ def counts_from_match(match: MatchResult, ego: ObjectState, cfg: CriticalityConf
 
 
 def brute_force_assign(
-    gts: list[ObjectState], detections: list[Detection], distance_limit: float
-) -> list[tuple[Detection, int | None]]:
-    """Greedy matching by a scan over every (prediction, ground truth) pair (test oracle)."""
-    order = sorted(range(len(detections)), key=lambda i: -detections[i].confidence)
+    gts: list[tuple], detections: list[tuple], distance_limit: float
+) -> list[tuple[int, int | None]]:
+    """Greedy matching by a scan over every (prediction, ground truth) pair (test oracle).
+
+    Takes and returns what ``greedy_assign`` does.
+    """
+    order = sorted(range(len(detections)), key=lambda i: -detections[i][2])
     taken = [False] * len(gts)
-    out: list[tuple[Detection, int | None]] = []
+    out: list[tuple[int, int | None]] = []
     for i in order:
-        det = detections[i]
-        cx, cy = det.state.center
+        cx, cy = detections[i][0], detections[i][1]
         best: int | None = None
         best_dist = math.inf
         for j, gt in enumerate(gts):
             if taken[j]:
                 continue
-            dist = math.hypot(gt.center.x - cx, gt.center.y - cy)
+            dist = math.hypot(gt[0] - cx, gt[1] - cy)
             if dist <= distance_limit and dist < best_dist:
                 best, best_dist = j, dist
         if best is not None:
             taken[best] = True
-        out.append((det, best))
+        out.append((i, best))
     return out
 
 

@@ -65,7 +65,7 @@ def _passed(name: str) -> None:
 def test_geometry_oracle_1000_scenarios():
     started = time.monotonic()
     for ego, obj in approaching_pairs(1000, seed=20240901):
-        case, _, d_ego_c, delta_t = classify(ego, obj)
+        case, _, d_ego_c, delta_t = classify(ego.motion, obj.motion)
         assert case == CASE_TRACKED
         min_dist, t_min = brute_force_cpa(
             ego, obj, dt=1e-3, horizon=default_oracle_horizon(ego, obj)

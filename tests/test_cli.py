@@ -85,6 +85,28 @@ def test_evaluate_builds_no_per_point_objects(synthetic_inputs, tmp_path, monkey
     assert json.loads((out / "report.json").read_text())["results"][0]["curve"]
 
 
+def test_evaluate_and_sweep_build_no_detection_objects(synthetic_inputs, tmp_path, monkeypatch):
+    """Detections stay columns from the results file to the outputs.
+
+    The ground truth is loaded first: it keeps its objects.
+    """
+    gt, pred = synthetic_inputs
+    dataset = model.load_ground_truth(gt)
+    monkeypatch.setattr(model, "load_ground_truth", lambda path: dataset)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a detection object on the evaluation path")
+
+    monkeypatch.setattr(model, "Detection", forbidden)
+    monkeypatch.setattr(model, "ObjectState", forbidden)
+    inputs = ["--gt", str(gt), "--pred", str(pred)]
+    assert main(["evaluate", *inputs, "--dmax", "20", "--rmax", "20", "--tmax", "8",
+                 "--out", str(tmp_path / "evaluate")]) == 0
+    assert main(["sweep", *inputs, "--out", str(tmp_path / "sweep")]) == 0
+    assert (tmp_path / "evaluate" / "report.json").exists()
+    assert (tmp_path / "sweep" / "sweep.csv").exists()
+
+
 def test_evaluate_missing_file_exits_one(tmp_path, capsys):
     code = main(
         ["evaluate", "--gt", str(tmp_path / "nope.json"), "--pred", str(tmp_path / "x.json"),
@@ -547,6 +569,19 @@ def test_birdview_draws_only_the_requested_frame(tmp_path):
     assert out.read_bytes() == (DATA / "birdview_golden_kappa.svg").read_bytes()
 
 
+def test_birdview_builds_only_the_requested_frames_detections(tmp_path, monkeypatch):
+    f0 = json.loads((DATA / "headon_pred.json").read_text())["results"]["f0"]
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"results": {"f1": f0, "f0": f0, "f2": f0}}))
+    built = []
+    detection = model.Detection
+    monkeypatch.setattr(model, "Detection", lambda *args: built.append(args[0]) or detection(*args))
+    assert main(["birdview", "--gt", str(DATA / "headon_gt.json"), "--pred", str(pred),
+                 "--frame", "f0", "--dmax", "30", "--rmax", "20", "--tmax", "8",
+                 "--out", str(tmp_path / "view.svg")]) == 0
+    assert built == ["f0"] * len(f0) and f0
+
+
 def test_birdview_unknown_frame_exits_one(tmp_path, capsys):
     code = main(
         ["birdview", "--gt", str(DATA / "headon_gt.json"), "--frame", "nope",
@@ -555,3 +590,64 @@ def test_birdview_unknown_frame_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "unknown frame_id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_absent_class_exits_one_and_writes_nothing(synthetic_inputs, tmp_path, capsys, command):
+    gt, pred = synthetic_inputs
+    out = tmp_path / "out"
+    args = ["--dmax", "20", "--rmax", "20", "--tmax", "8"] if command == "evaluate" else []
+    assert main([command, "--gt", str(gt), "--pred", str(pred), *args, "--class", "Car",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: class 'Car' is in no ground truth or detection; classes present: car\n")
+    assert not out.exists()
+
+
+def test_class_of_one_results_file_alone_is_evaluated(synthetic_inputs, tmp_path):
+    gt, pred = synthetic_inputs
+    doc = json.loads(pred.read_text())
+    frame = next(iter(doc["results"]))
+    doc["results"][frame][0]["class"] = "van"
+    vans = tmp_path / "vans.json"
+    vans.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["sweep", "--gt", str(gt), "--pred", f"a={pred}", "--pred", f"b={vans}",
+                 "--class", "van", "--out", str(out)]) == 0
+    assert (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("which", ["gt", "pred", "grid"])
+def test_deeply_nested_json_exits_one_naming_the_file(synthetic_inputs, tmp_path, capsys, which):
+    gt, pred = synthetic_inputs
+    paths = {"gt": str(gt), "pred": str(pred), "grid": "default"}
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    paths[which] = str(deep)
+    assert main(["sweep", "--gt", paths["gt"], "--pred", paths["pred"], "--grid", paths["grid"],
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+
+
+UNDECODABLE = "'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"
+
+
+def test_undecodable_results_file_exits_one_naming_it(synthetic_inputs, tmp_path, capsys):
+    gt, _ = synthetic_inputs
+    pred = tmp_path / "pred.json"
+    pred.write_bytes(b'{"results": {"f\xff": []}}')
+    assert main(["evaluate", "--gt", str(gt), "--pred", str(pred), "--dmax", "20", "--rmax", "20",
+                 "--tmax", "8", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {pred}: not UTF-8 text ({UNDECODABLE})\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"detector,class,\xff,d_max,r_max,t_max,ap,ap_crit\n", f"not UTF-8 text ({UNDECODABLE})"),
+    (b"detector,class,l,d_max,r_max,t_max,ap,ap_crit\n" + b"a" * 200_000 + b",car,1,2,2,2,0,0\n",
+     "malformed CSV (field larger than field limit (131072))"),
+])
+def test_rank_unreadable_table_exits_one_naming_it(tmp_path, capsys, content, message):
+    table = tmp_path / "sweep.csv"
+    table.write_bytes(content)
+    assert main(["rank", "--table", str(table), "--metric", "ap"]) == 1
+    assert capsys.readouterr().err == f"error: {table}: {message}\n"

@@ -29,7 +29,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 def _classify(ex, ey, bx, by, vx, vy):
     """``classify`` of an object at (bx, by) moving with (vx, vy) relative to a still ego."""
-    return classify(make_ego(center=(ex, ey)), make_state(center=(bx, by), velocity=(vx, vy)))
+    return classify(make_ego(center=(ex, ey)).motion,
+                    make_state(center=(bx, by), velocity=(vx, vy)).motion)
 
 
 def _travel(ex, ey, bx, by, vx, vy):
@@ -52,7 +53,7 @@ def test_vertical_line_needs_no_special_case():
 def test_zero_relative_velocity_leaves_geometry_undefined():
     ego = make_ego(velocity=(3.0, 1.0))
     obj = make_state(center=(6.0, 8.0), velocity=(3.0, 1.0))
-    assert classify(ego, obj) == (CASE_ZERO_REL_VELOCITY, 10.0, 0.0, 0.0)
+    assert classify(ego.motion, obj.motion) == (CASE_ZERO_REL_VELOCITY, 10.0, 0.0, 0.0)
 
 
 def test_time_to_closest_approach_toward_ego():
@@ -73,7 +74,7 @@ def test_time_overflow_is_non_finite():
 def test_classify_never_raises_on_finite_input(ex, ey, bx, by, evx, evy, ovx, ovy, known):
     ego = make_ego(center=(ex, ey), velocity=(evx, evy))
     obj = make_state(center=(bx, by), velocity=(ovx, ovy) if known else None)
-    case, d_ego_b, d_ego_c, delta_t = classify(ego, obj)
+    case, d_ego_b, d_ego_c, delta_t = classify(ego.motion, obj.motion)
     assert repr(d_ego_b) == repr(math.hypot(bx - ex, by - ey))
     if not known:
         assert case == CASE_MISSING_VELOCITY
@@ -156,7 +157,7 @@ def test_negating_velocity_flips_approaching(ex, ey, bx, by, vx, vy):
 def test_simulation_oracle_agrees_on_sample_batch():
     # Full 1000-scenario run lives in the acceptance suite.
     for ego, obj in approaching_pairs(100, seed=123):
-        case, _, d_ego_c, delta_t = classify(ego, obj)
+        case, _, d_ego_c, delta_t = classify(ego.motion, obj.motion)
         assert case == CASE_TRACKED
         min_dist, t_min = brute_force_cpa(ego, obj, dt=1e-3,
                                           horizon=default_oracle_horizon(ego, obj))

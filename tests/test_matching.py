@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from criteval.matching import distance_limits_default, greedy_assign
 from criteval.model import Detection
 
-from helpers import brute_force_assign, make_state, match_frame
+from helpers import assign_inputs, brute_force_assign, make_state, match_frame
 
 
 def det(center, conf, object_id="d"):
@@ -69,7 +69,7 @@ def test_equal_distances_go_to_the_lowest_index():
     # Index 1 comes first in x order; the tie still goes to index 0.
     gts = [make_state(object_id="g0", center=(1.0, 0.0)),
            make_state(object_id="g1", center=(-1.0, 0.0))]
-    assert greedy_assign(gts, [det((0.0, 0.0), 0.9)], 1.0)[0][1] == 0
+    assert greedy_assign(*assign_inputs(gts, [det((0.0, 0.0), 0.9)]), 1.0)[0][1] == 0
 
 
 def test_distance_limit_must_be_positive():
@@ -186,7 +186,6 @@ def matching_inputs(draw):
 @settings(max_examples=600)
 def test_greedy_assign_equals_the_all_pairs_scan(inputs):
     gts, preds, limit = inputs
-    got = greedy_assign(gts, preds, limit)
-    want = brute_force_assign(gts, preds, limit)
-    assert [j for _, j in got] == [j for _, j in want]
-    assert all(a is b for (a, _), (b, _) in zip(got, want)) and len(got) == len(want)
+    got = greedy_assign(*assign_inputs(gts, preds), limit)
+    want = brute_force_assign(*assign_inputs(gts, preds), limit)
+    assert got == want

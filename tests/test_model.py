@@ -1,16 +1,24 @@
 """Ingestion, validation, serialization round-trips and the evaluation scope."""
 
 import copy
+import itertools
 import json
 import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from criteval import model
 from criteval.criticality import CriticalityConfig
 from criteval.metrics import CurveAccumulator, build_curve
 from criteval.model import (
     Dataset,
     Detection,
+    DetectionTable,
     IngestError,
     Vec2,
     dataset_from_dict,
@@ -21,8 +29,9 @@ from criteval.model import (
     load_detections,
     load_ground_truth,
 )
+from criteval.synthgen import ErrorModel, corrupt, gen_dataset
 
-from helpers import make_ego, make_frame, make_state
+from helpers import make_ego, make_frame, make_state, random_scenario_spec
 
 MINIMAL_GT = {
     "frames": [
@@ -362,3 +371,133 @@ def test_detection_confidence_is_checked_before_class():
     with pytest.raises(IngestError) as info:
         detections_from_dict({"results": {"f0": [entry]}})
     assert str(info.value) == "$.results['f0'][0].confidence: must be in [0, 1], got 1.5"
+
+
+def test_detection_table_builds_each_detection_on_demand(tmp_path):
+    dataset = gen_dataset(random_scenario_spec(seed=4, n_frames=3))
+    doc = detections_to_dict(corrupt(dataset, ErrorModel(fp_rate_per_frame=2.0), seed=5))
+    want = detections_from_dict(doc)
+    path = tmp_path / "pred.json"
+    path.write_text(json.dumps(doc))
+    table = load_detections(path)
+    assert model._columns(doc) is not None and len(table) == len(want) > 3
+    assert repr(list(table)) == repr(want)
+    assert [repr(table[i]) for i in (0, 2, -1)] == [repr(want[i]) for i in (0, 2, -1)]
+    assert repr(table[1:-1:2]) == repr(want[1:-1:2])
+    frame = want[-1].frame_id
+    assert repr(table.in_frame(frame)) == repr([d for d in want if d.frame_id == frame])
+    assert table.in_frame("nope") == []
+    with pytest.raises(IndexError):
+        table[len(table)]
+    with pytest.raises(ValueError):
+        table.x[0] = 1.0
+    adapted = DetectionTable.of(want)
+    assert DetectionTable.of(adapted) is adapted and repr(list(adapted)) == repr(want)
+    for column in ("offsets", "class_index", "x", "y", "vx", "vy", "velocity_known", "width",
+                   "length", "yaw", "confidence"):
+        assert np.array_equal(getattr(adapted, column), getattr(table, column), equal_nan=True)
+    assert (adapted.frame_ids, adapted.classes) == (table.frame_ids, table.classes)
+    # An integer is valid but no float: the file is read object by object.
+    doc["results"][want[0].frame_id][0]["yaw"] = 0
+    path.write_text(json.dumps(doc))
+    assert model._columns(doc) is None
+    assert repr(list(load_detections(path))) == repr(detections_from_dict(doc))
+
+
+# Valid results documents, then values a results file may hold in any place.
+_FLOAT = st.sampled_from([0.0, -0.0, 0.5, 1.0, -3.25, 1e-300, 1e300]) | st.floats(-40.0, 40.0)
+_PAIR = st.lists(_FLOAT, min_size=2, max_size=2)
+_ENTRY = st.fixed_dictionaries({
+    "class": st.sampled_from(["car", "pedestrian"]),
+    "center": _PAIR,
+    "velocity": st.none() | _PAIR,
+    "size": st.lists(st.sampled_from([0.5, 2.0, 4.5]), min_size=2, max_size=2),
+    "yaw": _FLOAT,
+    "confidence": st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0),
+})
+# For a field or component: a float out of range, or no float at all.
+ODD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, -2.0, 0.5, 1.5]
+ODD_OTHERS = [None, True, False, 0, 1, -1, 10**400, -10**400, "", "car", "1.0", [], [1.0],
+              [1.0, 2.0], [1.0, 2.0, 3.0], [1.0, math.nan], {}, {"x": 1.0}]
+# For an entry, a frame's list or the results map.
+SHAPES = [None, 0, 1.5, "", "car", [], [{}], [None], {}, {"x": 1.0}]
+_ODD = st.sampled_from(ODD_FLOATS) | st.sampled_from(ODD_OTHERS)
+_SHAPE = st.sampled_from(SHAPES)
+_MUTATIONS = ["drop", "field", "component", "extend", "entry", "frame", "results"]
+
+
+@st.composite
+def results_documents(draw):
+    doc = {"results": draw(st.dictionaries(st.sampled_from(["f0", "f1", "f'2", ""]),
+                                           st.lists(_ENTRY, max_size=3), max_size=3))}
+    for kind in draw(st.lists(st.sampled_from(_MUTATIONS), max_size=3)):
+        value = copy.deepcopy(draw(_SHAPE if kind in ("entry", "frame", "results") else _ODD))
+        results = doc["results"] if isinstance(doc["results"], dict) else {}
+        frames = [k for k, entries in results.items() if isinstance(entries, list)]
+        entries = [(results[k], j) for k in frames for j, e in enumerate(results[k])
+                   if isinstance(e, dict) and e]
+        if kind == "results":
+            doc["results"] = value
+        elif kind == "frame" and frames:
+            results[draw(st.sampled_from(frames))] = value
+        elif entries:
+            found, j = draw(st.sampled_from(entries))
+            key = draw(st.sampled_from(sorted(found[j])))
+            if kind == "entry":
+                found[j] = value
+            elif kind == "drop":
+                del found[j][key]
+            elif kind == "field" or not isinstance(found[j][key], list):
+                found[j][key] = value
+            elif kind == "extend" or not found[j][key]:
+                found[j][key].append(value)
+            else:
+                found[j][key][draw(st.integers(0, len(found[j][key]) - 1))] = value
+    return doc
+
+
+def assert_loaders_agree(doc):
+    """``load_detections`` gives the detections of ``detections_from_dict``, or its error.
+
+    Its column loader accepts only what the scalar validator accepts.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pred.json"
+        path.write_text(json.dumps(doc))
+        try:
+            want = repr(detections_from_dict(doc))
+        except IngestError as error:
+            assert model._columns(doc) is None
+            with pytest.raises(IngestError) as info:
+                load_detections(path)
+            assert str(info.value) == str(error)
+            return
+        table = load_detections(path)
+    assert repr(list(table)) == want
+    runs = [frame_id for frame_id, _ in itertools.groupby(d.frame_id for d in table)]
+    assert list(table.frame_ids) == runs
+
+
+def test_column_loader_agrees_after_any_one_change():
+    for value in ODD_FLOATS + ODD_OTHERS + SHAPES:
+        edits = [lambda doc: doc.update(results=value),
+                 lambda doc: doc["results"].update(f1=value),
+                 lambda doc: doc["results"]["f1"].__setitem__(1, value)]
+        for key, field in DETECTION.items():
+            edits += [lambda doc, key=key: doc["results"]["f1"][1].__setitem__(key, value),
+                      lambda doc, key=key: doc["results"]["f1"][1].pop(key)]
+            if isinstance(field, list):
+                edits += [lambda doc, key=key: doc["results"]["f1"][1][key].append(value)]
+                edits += [lambda doc, key=key, i=i: doc["results"]["f1"][1][key].__setitem__(i, value)
+                          for i in range(len(field))]
+        for edit in edits:
+            doc = {"results": {"f0": [copy.deepcopy(DETECTION)],
+                               "f1": [{**DETECTION, "velocity": None}, copy.deepcopy(DETECTION)]}}
+            edit(doc)
+            assert_loaders_agree(copy.deepcopy(doc))
+
+
+@given(doc=results_documents())
+@settings(max_examples=500)
+def test_column_loader_agrees_on_mutated_documents(doc):
+    assert_loaders_agree(doc)
