@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from . import metrics, model, render, sweep, synthgen
 from .criticality import CriticalityConfig
@@ -64,33 +65,34 @@ def _require_class(dataset: model.Dataset, tables: list[model.DetectionTable],
                          f"classes present: {', '.join(sorted(present)) or 'none'}")
 
 
+def _curve_files(class_name: str, limits: Sequence[float]) -> dict[float, str]:
+    """The curve CSV name of each limit; two limits may not share one."""
+    files: dict[float, str] = {}
+    first: dict[str, float] = {}
+    for limit in limits:
+        name = files[limit] = f"curve_{class_name}_l{limit:g}.csv"
+        if first.setdefault(name, limit) != limit:
+            raise ValueError(f"distance limits {first[name]!r} and {limit!r} both write {name}")
+    return files
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    cfg = CriticalityConfig(args.dmax, args.rmax, args.tmax)
+    limits = metrics.check_scope(args.class_name, args.dist_limits, args.max_range)
+    curve_files = _curve_files(args.class_name, limits)
     dataset = model.load_ground_truth(args.gt)
     detections = model.load_detections(args.pred)
-    cfg = CriticalityConfig(args.dmax, args.rmax, args.tmax)
-    report = metrics.evaluate_detector(
-        dataset,
-        detections,
-        class_name=args.class_name,
-        dist_limits=args.dist_limits,
-        cfg=cfg,
-        ap_style=args.ap_style,
-        max_range=args.max_range,
-        workers=args.workers,
-    )
-    _warn_unknown_frames(report.ingest)
+    _warn_unknown_frames(model.ingest_summary(dataset, detections))
     _require_class(dataset, [detections], args.class_name)
+    report = metrics.evaluate_detector(dataset, detections, args.class_name, limits, cfg,
+                                       ap_style=args.ap_style, max_range=args.max_range)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics.write_report_json(report, out / "report.json")
     for res in report.results:
-        metrics.write_curve_csv(
-            res.arrays, out / f"curve_{args.class_name}_l{res.distance_limit:g}.csv"
-        )
-    print(
-        f"class={args.class_name} ap_style={args.ap_style} "
-        f"dmax={cfg.d_max:g} rmax={cfg.r_max:g} tmax={cfg.t_max:g}"
-    )
+        metrics.write_curve_csv(res.arrays, out / curve_files[res.distance_limit])
+    print(f"class={args.class_name} ap_style={args.ap_style} "
+          f"dmax={cfg.d_max:g} rmax={cfg.r_max:g} tmax={cfg.t_max:g}")
     print(f"{'l':>6}  {'AP':>10}  {'AP_crit':>10}")
     for res in report.results:
         print(f"{res.distance_limit:>6g}  {res.ap:>10.6f}  {res.ap_crit:>10.6f}")
@@ -99,36 +101,30 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    dataset = model.load_ground_truth(args.gt)
-    detectors: dict[str, model.DetectionTable] = {}
+    grid = _load_grid(args.grid)
+    metrics.check_scope(args.class_name, args.dist_limits, args.max_range)
+    paths: dict[str, str] = {}
     for spec in args.pred:
         name, sep, path = spec.partition("=")
         if not sep:
             name, path = Path(spec).stem, spec
-        if name in detectors:
+        if name in paths:
             raise ValueError(f"duplicate detector name {name!r}")
+        paths[name] = path
+    dataset = model.load_ground_truth(args.gt)
+    detectors: dict[str, model.DetectionTable] = {}
+    for name, path in paths.items():
         detectors[name] = model.load_detections(path)
         _warn_unknown_frames(model.ingest_summary(dataset, detectors[name]))
-    grid = _load_grid(args.grid)
-    rows = sweep.evaluate_sweep(
-        dataset,
-        detectors,
-        grid,
-        dist_limits=args.dist_limits,
-        class_name=args.class_name,
-        ap_style=args.ap_style,
-        max_range=args.max_range,
-        workers=args.workers,
-    )
     _require_class(dataset, list(detectors.values()), args.class_name)
+    rows = sweep.evaluate_sweep(dataset, detectors, grid, args.dist_limits, args.class_name,
+                                ap_style=args.ap_style, max_range=args.max_range)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sweep.write_sweep_csv(rows, out / "sweep.csv")
     model.dump_json(sweep.rankings_report(rows, args.dist_limits), out / "rankings.json")
-    print(
-        f"swept {len(detectors)} detector(s) x {len(args.dist_limits)} limit(s) x "
-        f"{len(grid)} config(s) -> {len(rows)} rows"
-    )
+    print(f"swept {len(detectors)} detector(s) x {len(args.dist_limits)} limit(s) x "
+          f"{len(grid)} config(s) -> {len(rows)} rows")
     print(f"table written to {out / 'sweep.csv'}; rankings to {out / 'rankings.json'}")
     return 0
 
@@ -215,8 +211,6 @@ def _add_common_eval_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ap-style", choices=list(metrics.AP_STYLES), default="paper")
     parser.add_argument("--max-range", type=float, default=metrics.DEFAULT_EVAL_RANGE,
                         help="evaluation range around ego in meters (default 50)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="accepted and ignored: evaluation runs on one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -53,6 +53,8 @@ class CriticalityWeights:
     kappa: float
 
 
+# bench/check.py:116,127 (reference_curve) use criticality_components and its scalar chain
+# (weights_from_class, parabolic_score, combine) as a kappa oracle free of the array kernel.
 def parabolic_score(x: float, z: float) -> float:
     """Downward parabola through (0, 1) and (z, 0), clipped to [0, 1]."""
     return max(0.0, -(x * x) / (z * z) + 1.0)

@@ -41,6 +41,7 @@ AP_STYLES = ("paper", "devkit")
 _RECALL_GRID = np.linspace(0.0, 1.0, 101)
 
 
+# bench/check.py:222 rebuilds report curves as CurvePoints.
 @dataclass(frozen=True)
 class CurvePoint:
     threshold: float
@@ -67,6 +68,7 @@ def _ratio(num: np.ndarray, den: np.ndarray | float) -> np.ndarray:
     return num
 
 
+# bench/run.py:243,284 report it as pool.workers and in the machine block.
 def worker_count(requested: int | None = None) -> int:
     """Requested worker count: explicit argument, else CRIT_EVAL_THREADS, else CPU count.
 
@@ -142,6 +144,22 @@ def _running_sums(values: np.ndarray, columns: np.ndarray, counts: np.ndarray) -
     return sums[:, counts]
 
 
+def check_scope(class_name: str, dist_limits: Iterable[float],
+                max_range: float) -> tuple[float, ...]:
+    """The limits as a tuple, once they, ``max_range`` and ``class_name`` prove valid."""
+    limits = tuple(dist_limits)
+    if not (limits and all(limit > 0 for limit in limits) and len(set(limits)) == len(limits)):
+        raise ValueError("distance limits must be nonempty, positive and distinct, got "
+                         + (", ".join(map(repr, limits)) or "none"))
+    if not all(map(math.isfinite, limits)):
+        raise ValueError("distance limits must be finite, got " + ", ".join(map(repr, limits)))
+    if not 0 < max_range < math.inf:
+        raise ValueError(f"max_range must be positive and finite, got {max_range!r}")
+    if not class_name:
+        raise ValueError("class_name must be nonempty")
+    return limits
+
+
 class CurveAccumulator:
     """Per-(detector, class) cache of approach geometry and of the matches at each limit.
 
@@ -162,17 +180,7 @@ class CurveAccumulator:
         dist_limits: Iterable[float],
         max_range: float = DEFAULT_EVAL_RANGE,
     ):
-        limits = self.dist_limits = tuple(dist_limits)
-        if not (limits and all(limit > 0 for limit in limits) and len(set(limits)) == len(limits)):
-            raise ValueError("distance limits must be nonempty, positive and distinct, got "
-                             + (", ".join(map(repr, limits)) or "none"))
-        if not all(map(math.isfinite, limits)):
-            raise ValueError("distance limits must be finite, got " + ", ".join(map(repr, limits)))
-        if not 0 < max_range < math.inf:
-            raise ValueError(f"max_range must be positive and finite, got {max_range!r}")
-        if not class_name:
-            raise ValueError("class_name must be nonempty")
-
+        limits = self.dist_limits = check_scope(class_name, dist_limits, max_range)
         table = DetectionTable.of(detections)
         # The rows of the class, and each frame's positions among them, in input order.
         rows = np.flatnonzero(table.class_index == (
@@ -270,6 +278,7 @@ class CurveAccumulator:
             curves.append((*classic, p_r, r_s))
         return curves
 
+    # bench/spans.py:55 hooks it as the reweight layer.
     def curve(self, cfg: CriticalityConfig) -> list[CurvePoint]:
         """One operating point per cut, highest threshold first, of a one-limit accumulator."""
         if len(self.dist_limits) != 1:
@@ -325,6 +334,7 @@ def _ap_devkit_arrays(r: np.ndarray, p: np.ndarray) -> float:
     return min(1.0, float(np.mean(prec)) / (1.0 - AP_MIN_PRECISION))
 
 
+# bench/spans.py:58-59 hook this and devkit_average_precision as the summarize layer.
 def average_precision(curve: Sequence[CurvePoint], use_weighted: bool = False) -> float:
     """Riemann-sum AP over operating points with both coordinates >= 0.1.
 
@@ -341,6 +351,7 @@ def devkit_average_precision(curve: Sequence[CurvePoint], use_weighted: bool = F
     return _ap_devkit_arrays(*_curve_arrays(curve, use_weighted))
 
 
+# bench/check.py:218 summarizes report curves with it.
 def ap_function(ap_style: str) -> Callable[[Sequence[CurvePoint], bool], float]:
     if ap_style not in AP_STYLES:
         raise ValueError(f"ap_style must be one of {AP_STYLES}, got {ap_style!r}")
@@ -363,6 +374,7 @@ def _recall_grid(recall: np.ndarray, precision: np.ndarray, r_s: np.ndarray,
     return out
 
 
+# bench/check.py:227 checks curve_recall_grid against it.
 def resample_curve(curve: Sequence[CurvePoint]) -> dict[str, Any]:
     """Reporting view of a curve on the recall grid of step 0.01 (plots only).
 
@@ -414,6 +426,7 @@ class EvaluationReport:
             ],
         }
 
+    # bench/spans.py:65 hooks it as the write layer.
     def to_dict(self) -> dict[str, Any]:
         rows = (zip(*(a.tolist() for a in res.arrays)) for res in self.results)
         return self._as_dict([[dict(zip(CURVE_FIELDS, pt)) for pt in curve] for curve in rows])
@@ -427,12 +440,9 @@ def evaluate_detector(
     cfg: CriticalityConfig,
     ap_style: str = "paper",
     max_range: float = DEFAULT_EVAL_RANGE,
-    workers: int | None = None,
+    workers: int | None = None,  # ignored; bench/check.py:183 passes workers=1
 ) -> EvaluationReport:
-    """Full per-class evaluation of one detector across distance limits.
-
-    Runs on one thread; ``workers`` is accepted for compatibility and ignored.
-    """
+    """Full per-class evaluation of one detector across distance limits, on one thread."""
     ap_function(ap_style)  # rejects an unknown style before any work
     detections = DetectionTable.of(detections)
     acc = CurveAccumulator(dataset, detections, class_name, dist_limits, max_range)

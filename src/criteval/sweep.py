@@ -36,11 +36,8 @@ class ConfigGrid:
     t_values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        for name, values in (
-            ("d_values", self.d_values),
-            ("r_values", self.r_values),
-            ("t_values", self.t_values),
-        ):
+        for name in ("d_values", "r_values", "t_values"):
+            values = getattr(self, name)
             if not values:
                 raise ValueError(f"{name}: expected a nonempty list of values")
             for i, (low, value) in enumerate(zip((0.0, *values), values)):
@@ -52,12 +49,8 @@ class ConfigGrid:
         return len(self.d_values) * len(self.r_values) * len(self.t_values)
 
     def configs(self) -> list[CriticalityConfig]:
-        return [
-            CriticalityConfig(d, r, t)
-            for d in self.d_values
-            for r in self.r_values
-            for t in self.t_values
-        ]
+        return [CriticalityConfig(d, r, t)
+                for d in self.d_values for r in self.r_values for t in self.t_values]
 
 
 def default_grid() -> ConfigGrid:
@@ -92,13 +85,11 @@ def evaluate_sweep(
     class_name: str,
     ap_style: str = "paper",
     max_range: float = DEFAULT_EVAL_RANGE,
-    workers: int | None = None,
 ) -> list[SweepRow]:
     """Complete table, sorted by detector, limit, d_max, r_max, t_max.
 
     Each (d_max, r_max) slice of the grid is one batched reweighting over
-    all its t_max values and all limits. Runs on one thread; ``workers`` is
-    accepted for compatibility and ignored.
+    all its t_max values and all limits.
     """
     if not detections_by_detector:
         raise ValueError("at least one detector is required")
@@ -160,18 +151,8 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
         writer = csv.writer(f)
         writer.writerow(SWEEP_CSV_HEADER)
         for r in rows:
-            writer.writerow(
-                [
-                    r.detector,
-                    r.class_name,
-                    repr(r.distance_limit),
-                    repr(r.d_max),
-                    repr(r.r_max),
-                    repr(r.t_max),
-                    repr(r.ap),
-                    repr(r.ap_crit),
-                ]
-            )
+            writer.writerow([r.detector, r.class_name, *map(repr, (
+                r.distance_limit, r.d_max, r.r_max, r.t_max, r.ap, r.ap_crit))])
 
 
 def _finite_cell(rec: dict[str, str], column: str, where: str, positive: bool = False) -> float:

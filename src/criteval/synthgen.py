@@ -1,9 +1,11 @@
-"""Deterministic synthetic scenarios and brute-force oracles.
+"""Deterministic synthetic scenarios and detector error models.
 
 Generated datasets use constant-velocity kinematics at the 0.5 s keyframe
 cadence and serialize through the same schemas the loaders accept. All
 randomness flows through :class:`SplitMix64`, a tiny fixed-rule generator,
 so a seed reproduces the same bytes on any platform or implementation.
+The brute-force closest-approach oracle the tests compare ``classify``
+against lives in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Any
-
-import numpy as np
 
 from .model import (
     DEFAULT_EGO_SIZE,
@@ -34,7 +34,7 @@ from .model import (
 
 KEYFRAME_INTERVAL = 0.5
 DEFAULT_OBJECT_SIZE = (2.0, 4.5)
-ORACLE_HORIZON_CAP = 120.0
+_POISSON_CHUNK = 500.0
 
 
 class SplitMix64:
@@ -44,8 +44,9 @@ class SplitMix64:
     state and scrambles it with two xor-shift-multiply rounds
     (0xBF58476D1CE4E5B9 then 0x94D049BB133111EB, final shift 31). Uniform
     doubles take the top 53 bits; gaussians use one Box-Muller evaluation
-    per draw (two uniforms each, no caching); Poisson counts multiply
-    uniforms until the product drops below exp(-rate).
+    per draw (two uniforms each, no caching). A Poisson count sums one count
+    per chunk of at most 500 of the rate, each multiplying uniforms until the
+    product drops below exp(-chunk); exp(-rate) itself underflows near 745.
     """
 
     _MASK = (1 << 64) - 1
@@ -73,6 +74,13 @@ class SplitMix64:
     def poisson(self, rate: float) -> int:
         if rate <= 0:
             return 0
+        if not math.isfinite(rate):
+            raise ValueError(f"Poisson rate must be finite, got {rate!r}")
+        full, rest = divmod(rate, _POISSON_CHUNK)
+        count = sum(self._poisson_chunk(_POISSON_CHUNK) for _ in range(int(full)))
+        return count + (self._poisson_chunk(rest) if rest else 0)
+
+    def _poisson_chunk(self, rate: float) -> int:
         limit = math.exp(-rate)
         count = 0
         product = self.uniform()
@@ -234,34 +242,6 @@ def corrupt(dataset: Dataset, model: ErrorModel, seed: int) -> list[Detection]:
             )
             index += 1
     return detections
-
-
-def default_oracle_horizon(ego: ObjectState, obj: ObjectState) -> float:
-    """Long enough to bracket any closest approach within the eval range."""
-    v_rel = Vec2(obj.velocity.x - ego.velocity.x, obj.velocity.y - ego.velocity.y)
-    speed = math.hypot(v_rel.x, v_rel.y)
-    if speed == 0.0:
-        return ORACLE_HORIZON_CAP
-    distance = math.hypot(obj.center.x - ego.center.x, obj.center.y - ego.center.y)
-    return min(ORACLE_HORIZON_CAP, 4.0 * distance / speed)
-
-
-def brute_force_cpa(
-    ego: ObjectState, obj: ObjectState, dt: float, horizon: float
-) -> tuple[float, float]:
-    """Sampled closest approach: step the object by the relative velocity
-    with ego fixed and return (min distance, time of the minimum)."""
-    if not dt > 0 or not horizon > 0:
-        raise ValueError("dt and horizon must be positive")
-    if ego.velocity is None or obj.velocity is None:
-        raise ValueError("brute_force_cpa requires both velocities")
-    v_rel = Vec2(obj.velocity.x - ego.velocity.x, obj.velocity.y - ego.velocity.y)
-    times = np.arange(0.0, horizon + dt, dt)
-    dx = (obj.center.x - ego.center.x) + v_rel.x * times
-    dy = (obj.center.y - ego.center.y) + v_rel.y * times
-    distances = np.hypot(dx, dy)
-    best = int(np.argmin(distances))
-    return float(distances[best]), float(times[best])
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,37 @@ def brute_force_assign(
     return out
 
 
+ORACLE_HORIZON_CAP = 120.0
+
+
+def default_oracle_horizon(ego: ObjectState, obj: ObjectState) -> float:
+    """Long enough to bracket any closest approach within the eval range (test oracle)."""
+    v_rel = Vec2(obj.velocity.x - ego.velocity.x, obj.velocity.y - ego.velocity.y)
+    speed = math.hypot(v_rel.x, v_rel.y)
+    if speed == 0.0:
+        return ORACLE_HORIZON_CAP
+    distance = math.hypot(obj.center.x - ego.center.x, obj.center.y - ego.center.y)
+    return min(ORACLE_HORIZON_CAP, 4.0 * distance / speed)
+
+
+def brute_force_cpa(
+    ego: ObjectState, obj: ObjectState, dt: float, horizon: float
+) -> tuple[float, float]:
+    """Sampled closest approach: step the object by the relative velocity
+    with ego fixed and return (min distance, time of the minimum) (test oracle)."""
+    if not dt > 0 or not horizon > 0:
+        raise ValueError("dt and horizon must be positive")
+    if ego.velocity is None or obj.velocity is None:
+        raise ValueError("brute_force_cpa requires both velocities")
+    v_rel = Vec2(obj.velocity.x - ego.velocity.x, obj.velocity.y - ego.velocity.y)
+    times = np.arange(0.0, horizon + dt, dt)
+    dx = (obj.center.x - ego.center.x) + v_rel.x * times
+    dy = (obj.center.y - ego.center.y) + v_rel.y * times
+    distances = np.hypot(dx, dy)
+    best = int(np.argmin(distances))
+    return float(distances[best]), float(times[best])
+
+
 def curve_csv_oracle(curve: list[CurvePoint]) -> bytes:
     """A curve CSV as ``csv.writer`` lays it out, six decimals per value (test oracle)."""
     buf = io.StringIO(newline="")

@@ -37,15 +37,15 @@ from criteval.sweep import default_grid, evaluate_sweep, rankings_report, write_
 from criteval.synthgen import (
     ErrorModel,
     SplitMix64,
-    brute_force_cpa,
     corrupt,
-    default_oracle_horizon,
     gen_dataset,
 )
 
 from helpers import (
     WeightedCounts,
     approaching_pairs,
+    brute_force_cpa,
+    default_oracle_horizon,
     divergence_scenario,
     make_ego,
     make_state,
@@ -237,28 +237,26 @@ SWEEP_CSV_SHA256 = "6b334ff02b93f23fef60ec628590bee1950f32b7ae560a9cad57867009eb
 RANKINGS_SHA256 = "731ab9bde9272708b530e0cc6f66e48f65a0dde7019ddd451a66fd4f51274a93"
 
 
-def test_sweep_determinism_across_workers(tmp_path):
+def test_sweep_determinism_across_runs(tmp_path):
     dataset, detectors = sweep_dataset_and_detectors()
     assert len(dataset.frames) == 200
     grid = default_grid()
     outputs = []
-    for workers in (1, 4, 8):
+    for run in (1, 2):
         started = time.monotonic()
-        rows = evaluate_sweep(
-            dataset, detectors, grid, [0.5, 1.0, 2.0, 4.0], "car", workers=workers
-        )
+        rows = evaluate_sweep(dataset, detectors, grid, [0.5, 1.0, 2.0, 4.0], "car")
         elapsed = time.monotonic() - started
         assert elapsed < 300.0
-        csv_path = tmp_path / f"sweep_{workers}.csv"
-        json_path = tmp_path / f"rankings_{workers}.json"
+        csv_path = tmp_path / f"sweep_{run}.csv"
+        json_path = tmp_path / f"rankings_{run}.json"
         write_sweep_csv(rows, csv_path)
         dump_json(rankings_report(rows, [0.5, 1.0, 2.0, 4.0]), json_path)
         outputs.append((csv_path.read_bytes(), json_path.read_bytes()))
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
     assert hashlib.sha256(outputs[0][0]).hexdigest() == SWEEP_CSV_SHA256
     assert hashlib.sha256(outputs[0][1]).hexdigest() == RANKINGS_SHA256
     assert len(rows) == 2 * 4 * 1500
-    _passed("sweep determinism (1500 configs x 2 detectors, workers 1/4/8, golden digests)")
+    _passed("sweep determinism (1500 configs x 2 detectors, 2 runs, golden digests)")
 
 
 # SHA-256 of every file `criteval evaluate` writes for this corpus at (20, 20, 8),

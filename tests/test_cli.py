@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from criteval import metrics, model
+from criteval import metrics, model, sweep
 from criteval.cli import main
 from criteval.model import dataset_to_dict, detections_to_dict, dump_json
 from criteval.synthgen import gen_dataset
@@ -651,3 +651,84 @@ def test_rank_unreadable_table_exits_one_naming_it(tmp_path, capsys, content, me
     table.write_bytes(content)
     assert main(["rank", "--table", str(table), "--metric", "ap"]) == 1
     assert capsys.readouterr().err == f"error: {table}: {message}\n"
+
+
+def _read_no_data(*_args, **_kwargs):
+    raise AssertionError("a data file was read before the arguments were checked")
+
+
+_CAPS = ["--dmax", "20", "--rmax", "20", "--tmax", "8"]
+
+
+@pytest.mark.parametrize(
+    "command, args, grid, message",
+    [
+        ("sweep", [], '{"d_values": [10, 5], "r_values": [20], "t_values": [4]}',
+         "$.d_values[1]: expected a finite value greater than 10.0, got 5.0"),
+        ("sweep", [], '{"d_values": [10], "r_values": 20, "t_values": [4]}',
+         "$.r_values: expected a list of numbers, got 20"),
+        ("sweep", ["--pred", "a=other.json"], None, "duplicate detector name 'a'"),
+        ("evaluate", ["--dmax", "0", "--rmax", "20", "--tmax", "8"], None,
+         "d_max must be positive and finite, got 0.0"),
+        ("evaluate", ["--dmax", "20", "--rmax", "20", "--tmax", "nan"], None,
+         "t_max must be positive and finite, got nan"),
+        ("evaluate", [*_CAPS, "--dist-limits", "1,1.0000001"], None,
+         "distance limits 1.0 and 1.0000001 both write curve_car_l1.csv"),
+        *[(command, [*caps, option, value], None, message)
+          for command, caps in (("evaluate", _CAPS), ("sweep", []))
+          for option, value, message in (
+              ("--dist-limits", "1,1", "distance limits must be nonempty, positive and "
+                                       "distinct, got 1.0, 1.0"),
+              ("--dist-limits", "1,inf", "distance limits must be finite, got 1.0, inf"),
+              ("--max-range", "nan", "max_range must be positive and finite, got nan"),
+              ("--class", "", "class_name must be nonempty"),
+          )],
+    ],
+)
+def test_argument_errors_come_before_any_data_file(tmp_path, capsys, monkeypatch,
+                                                   command, args, grid, message):
+    monkeypatch.setattr(model, "load_ground_truth", _read_no_data)
+    monkeypatch.setattr(model, "load_detections", _read_no_data)
+    if grid is not None:
+        (tmp_path / "grid.json").write_text(grid)
+        args = [*args, "--grid", str(tmp_path / "grid.json")]
+    out = tmp_path / "out"
+    assert main([command, "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "a.json"),
+                 *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_absent_class_is_rejected_before_evaluation(synthetic_inputs, tmp_path, capsys,
+                                                    monkeypatch, command):
+    monkeypatch.setattr(metrics, "CurveAccumulator", _read_no_data)
+    monkeypatch.setattr(sweep, "CurveAccumulator", _read_no_data)
+    gt, pred = synthetic_inputs
+    args = _CAPS if command == "evaluate" else []
+    assert main([command, "--gt", str(gt), "--pred", str(pred), *args, "--class", "Car",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: class 'Car' is in no ground truth or detection; classes present: car\n")
+
+
+def test_limits_that_share_a_curve_file_exit_one(synthetic_inputs, tmp_path, capsys):
+    gt, pred = synthetic_inputs
+    inputs = ["evaluate", "--gt", str(gt), "--pred", str(pred), *_CAPS]
+    out = tmp_path / "out"
+    assert main([*inputs, "--dist-limits", "1,1.0000001", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: distance limits 1.0 and 1.0000001 both write curve_car_l1.csv\n")
+    assert not out.exists()
+    assert main([*inputs, "--dist-limits", "1,1.00001", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("curve_*")) == ["curve_car_l1.00001.csv",
+                                                           "curve_car_l1.csv"]
+
+
+@pytest.mark.parametrize("command, args", [("evaluate", _CAPS), ("sweep", [])])
+def test_workers_option_is_rejected(tmp_path, monkeypatch, command, args):
+    monkeypatch.setattr(model, "load_ground_truth", _read_no_data)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--gt", "gt.json", "--pred", "a.json", *args, "--workers", "2",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2

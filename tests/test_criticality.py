@@ -1,12 +1,15 @@
 """Criticality scores: parabola, combination, corner cases, monotonicity."""
 
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from criteval import criticality
 from criteval.criticality import (
     CriticalityConfig,
     combine,
@@ -188,3 +191,22 @@ def test_config_validation():
         CriticalityConfig(0.0, 20.0, 8.0)
     with pytest.raises(ValueError):
         CriticalityConfig(20.0, 20.0, math.inf)
+
+
+def test_scalar_kappa_imports_no_array_code():
+    # bench/check.py:reference_curve checks the pipeline's kappa against the
+    # scalar criticality_components "with none of the pipeline's array code".
+    # If this module used numpy or criteval.metrics, that check would compare
+    # the kernel with itself.
+    imported = set()
+    for node in ast.walk(ast.parse(Path(criticality.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["criteval" if node.level else "", node.module]))
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert imported, "no imports found: the parse is wrong"
+    banned = [name for name in imported
+              if name.split(".")[0] == "numpy" or name.startswith("criteval.metrics")]
+    assert banned == []

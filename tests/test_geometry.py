@@ -14,9 +14,14 @@ from criteval.criticality import (
     CASE_ZERO_REL_VELOCITY,
     classify,
 )
-from criteval.synthgen import brute_force_cpa, default_oracle_horizon
 
-from helpers import approaching_pairs, make_ego, make_state
+from helpers import (
+    approaching_pairs,
+    brute_force_cpa,
+    default_oracle_horizon,
+    make_ego,
+    make_state,
+)
 
 coords = st.floats(min_value=-1000.0, max_value=1000.0, allow_nan=False)
 # Sub-nanometer-per-second components underflow sign tests; snap them to the

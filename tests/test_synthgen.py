@@ -19,14 +19,19 @@ from criteval.synthgen import (
     ScenarioObject,
     ScenarioSpec,
     SplitMix64,
-    brute_force_cpa,
     corrupt,
     error_model_from_dict,
     gen_dataset,
     scenario_from_dict,
 )
 
-from helpers import make_ego, make_state, perfect_detections, random_scenario_spec
+from helpers import (
+    brute_force_cpa,
+    make_ego,
+    make_state,
+    perfect_detections,
+    random_scenario_spec,
+)
 
 
 def test_splitmix64_is_deterministic_and_bounded():
@@ -57,6 +62,28 @@ def test_poisson_zero_rate_and_mean():
     assert rng.poisson(0.0) == 0
     draws = [rng.poisson(2.5) for _ in range(2000)]
     assert abs(sum(draws) / len(draws) - 2.5) < 0.15
+
+
+@pytest.mark.parametrize("rate, draws, next_u64", [
+    (140.0, [147, 128, 140, 125, 136, 167, 147, 128], 8792850694271807797),
+    (500.0, [487, 526, 450, 532, 509, 480, 488, 490], 2818434367198376936),
+])
+def test_poisson_up_to_one_chunk_keeps_its_draw_sequence(rate, draws, next_u64):
+    # Frozen draws of the single-product rule; the state after them pins the
+    # number of uniforms consumed, so generated files stay byte-identical.
+    rng = SplitMix64(3)
+    assert [rng.poisson(rate) for _ in range(8)] == draws
+    assert rng.next_u64() == next_u64
+
+
+def test_poisson_large_rate_does_not_saturate():
+    # A single product of uniforms underflowed near 745 whatever the rate.
+    rng = SplitMix64(3)
+    n, rate = 200, 2000.0
+    mean = sum(rng.poisson(rate) for _ in range(n)) / n
+    assert abs(mean - rate) < 5.0 * math.sqrt(rate / n)
+    with pytest.raises(ValueError, match="finite"):
+        rng.poisson(math.inf)
 
 
 def test_static_object_stays_put():
