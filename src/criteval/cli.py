@@ -122,7 +122,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sweep.write_sweep_csv(rows, out / "sweep.csv")
-    model.dump_json(sweep.rankings_report(rows, args.dist_limits), out / "rankings.json")
+    sweep.write_rankings_json(sweep.rankings_report(rows, args.dist_limits), out / "rankings.json")
     print(f"swept {len(detectors)} detector(s) x {len(args.dist_limits)} limit(s) x "
           f"{len(grid)} config(s) -> {len(rows)} rows")
     print(f"table written to {out / 'sweep.csv'}; rankings to {out / 'rankings.json'}")
@@ -167,19 +167,22 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         spec = dataclasses.replace(spec, seed=args.seed)
     dataset = synthgen.gen_dataset(spec)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    model.dump_json(model.dataset_to_dict(dataset), out / "gt.json")
-    written = [out / "gt.json"]
+    files = [(out / "gt.json", model.dataset_to_dict(dataset))]
     detectors = data.get("detectors", {})
     if not isinstance(detectors, dict):
         raise model.IngestError("$.detectors: expected an object")
+    # Every detector is drawn before any file is written.
     for i, name in enumerate(sorted(detectors)):
         error_model = synthgen.error_model_from_dict(detectors[name], f"$.detectors.{name}")
-        detections = synthgen.corrupt(dataset, error_model, seed=spec.seed + i)
-        path = out / f"{name}.json"
-        model.dump_json(model.detections_to_dict(detections), path)
-        written.append(path)
-    print(f"generated {len(dataset.frames)} frame(s); wrote {', '.join(str(p) for p in written)}")
+        try:
+            detections = synthgen.corrupt(dataset, error_model, seed=spec.seed + i)
+        except ValueError as exc:
+            raise ValueError(f"$.detectors.{name}: {exc}") from None
+        files.append((out / f"{name}.json", model.detections_to_dict(detections)))
+    out.mkdir(parents=True, exist_ok=True)
+    for path, content in files:
+        model.dump_json(content, path)
+    print(f"generated {len(dataset.frames)} frame(s); wrote {', '.join(str(p) for p, _ in files)}")
     return 0
 
 

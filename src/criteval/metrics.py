@@ -12,7 +12,6 @@ reweights cheaply for any number of configurations.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from array import array
@@ -31,7 +30,7 @@ from .criticality import (
     classify,
 )
 from .matching import greedy_assign
-from .model import Dataset, Detection, DetectionTable, ingest_summary
+from .model import Dataset, Detection, DetectionTable, ingest_summary, json_pieces
 
 DEFAULT_EVAL_RANGE = 50.0
 AP_MIN_RECALL = 0.1
@@ -64,7 +63,10 @@ def _ratio(num: np.ndarray, den: np.ndarray | float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         np.divide(num, den, out=num)
     np.minimum(num, 1.0, out=num)
-    np.copyto(num, 1.0, where=np.asarray(den) == 0.0)
+    den = np.asarray(den)
+    # Denominators are nondecreasing along the cuts: a positive first column has no zero after it.
+    if not (den.ndim == 2 and (den[:, 0] > 0.0).all()):
+        np.copyto(num, 1.0, where=den == 0.0)
     return num
 
 
@@ -111,6 +113,8 @@ class _ScoreTerms:
         self._fixed = np.where(
             case == CASE_MISSING_VELOCITY, 1.0, np.where(nonfinite, NONFINITE_TIME_SCORE, 0.0)
         )
+        # The 1 - kappa_t rows of the last t_values, which no other cap changes.
+        self._not_t: tuple[bytes | None, np.ndarray] = (None, np.empty(0))
 
     def _complement(self, neg_sq: np.ndarray, cap, scored: np.ndarray | None):
         """``1 - score`` per object (one row per cap if ``cap`` is a column)."""
@@ -126,8 +130,10 @@ class _ScoreTerms:
         """``1 - (1-kd)(1-kr)(1-kt)`` per object, one row per t_max."""
         not_dr = self._complement(self._neg_sq_b, d_max, None)
         not_dr *= self._complement(self._neg_sq_c, r_max, self._scored_r)
-        kappa = self._complement(self._neg_sq_t, t_values[:, None], self._scored_t)
-        kappa *= not_dr
+        key = t_values.tobytes()
+        if self._not_t[0] != key:
+            self._not_t = key, self._complement(self._neg_sq_t, t_values[:, None], self._scored_t)
+        kappa = np.multiply(self._not_t[1], not_dr)
         return np.subtract(1.0, kappa, out=kappa)
 
 
@@ -137,11 +143,13 @@ def _running_sums(values: np.ndarray, columns: np.ndarray, counts: np.ndarray) -
     The sums run in place after a zero column, so skipping the other
     columns of a row leaves each sum as it would be with zeros in their places.
     """
-    sums = np.zeros((len(values), len(columns) + 1))
+    sums = np.empty((len(values), len(columns) + 1))
+    sums[:, 0] = 0.0
     # The columns are valid indices; "clip" gathers without the buffer that "raise" takes.
     np.take(values, columns, axis=1, out=sums[:, 1:], mode="clip")
     np.cumsum(sums, axis=1, out=sums)
-    return sums[:, counts]
+    # Unlike sums[:, counts], take lays each row out contiguously.
+    return np.take(sums, counts, axis=1)
 
 
 def check_scope(class_name: str, dist_limits: Iterable[float],
@@ -325,15 +333,6 @@ def _ap_paper_arrays(r: np.ndarray, p: np.ndarray) -> float:
     return float(np.sum((rk - prev) * pk))
 
 
-def _ap_devkit_arrays(r: np.ndarray, p: np.ndarray) -> float:
-    if len(r) == 0:
-        return 0.0
-    prec = np.interp(_RECALL_GRID, r, p, right=0.0)
-    prec = prec[round(100 * AP_MIN_RECALL) + 1 :] - AP_MIN_PRECISION
-    prec[prec < 0] = 0.0
-    return min(1.0, float(np.mean(prec)) / (1.0 - AP_MIN_PRECISION))
-
-
 # bench/spans.py:58-59 hook this and devkit_average_precision as the summarize layer.
 def average_precision(curve: Sequence[CurvePoint], use_weighted: bool = False) -> float:
     """Riemann-sum AP over operating points with both coordinates >= 0.1.
@@ -348,7 +347,7 @@ def average_precision(curve: Sequence[CurvePoint], use_weighted: bool = False) -
 def devkit_average_precision(curve: Sequence[CurvePoint], use_weighted: bool = False) -> float:
     """nuScenes-devkit style AP: 101-point interpolation, floors subtracted,
     renormalized. Offered for comparability with published tables."""
-    return _ap_devkit_arrays(*_curve_arrays(curve, use_weighted))
+    return ap_from_arrays("devkit", *_curve_arrays(curve, use_weighted))
 
 
 # bench/check.py:218 summarizes report curves with it.
@@ -358,11 +357,44 @@ def ap_function(ap_style: str) -> Callable[[Sequence[CurvePoint], bool], float]:
     return average_precision if ap_style == "paper" else devkit_average_precision
 
 
-def ap_from_arrays(ap_style: str, r: np.ndarray, p: np.ndarray) -> float:
-    """Array fast path for sweeps; assumes ``r`` is already nondecreasing."""
+def _ap_paper_rows(r: np.ndarray, p: np.ndarray) -> list[float]:
+    """``_ap_paper_arrays`` per row. As recall is nondecreasing, a row's kept
+    points nearly always form one run; its terms are then a contiguous slice
+    of ``prod``, which sums pairwise as the compacted 1-D array does."""
+    if not r.shape[1]:
+        return [0.0] * len(r)
+    keep = (p >= AP_MIN_PRECISION) & (r >= AP_MIN_RECALL)
+    first, stop = keep.argmax(axis=1), keep.shape[1] - keep[:, ::-1].argmax(axis=1)
+    runs = zip(first.tolist(), stop.tolist(), np.count_nonzero(keep, axis=1).tolist())
+    prod = np.empty(r.shape)  # recall steps, from 0 at each row's first cut, times precision
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(r.ravel()[1:], r.ravel()[:-1], out=prod.reshape(-1)[1:])
+        prod[:, 0] = r[:, 0]
+        prod *= p
+    return [float(prod[i, a:b].sum()) if n == b - a else _ap_paper_arrays(r[i], p[i]) if n else 0.0
+            for i, (a, b, n) in enumerate(runs)]
+
+
+def _ap_devkit_rows(r: np.ndarray, p: np.ndarray) -> list[float]:
+    """Devkit AP per row; only ``np.interp`` runs row by row."""
+    if not r.shape[1]:
+        return [0.0] * len(r)
+    prec = np.empty((len(r), len(_RECALL_GRID)))
+    for row, ri, pi in zip(prec, r, p):
+        row[:] = np.interp(_RECALL_GRID, ri, pi, right=0.0)
+    prec = prec[:, round(100 * AP_MIN_RECALL) + 1 :] - AP_MIN_PRECISION
+    prec[prec < 0] = 0.0
+    return [min(1.0, mean / (1.0 - AP_MIN_PRECISION)) for mean in np.mean(prec, axis=1).tolist()]
+
+
+def ap_from_arrays(ap_style: str, r: np.ndarray, p: np.ndarray) -> float | list[float]:
+    """Array fast path; assumes ``r`` is nondecreasing. ``(rows, cuts)`` arrays give a list of
+    each row's AP."""
     if ap_style not in AP_STYLES:
         raise ValueError(f"ap_style must be one of {AP_STYLES}, got {ap_style!r}")
-    return _ap_paper_arrays(r, p) if ap_style == "paper" else _ap_devkit_arrays(r, p)
+    if ap_style == "paper":
+        return _ap_paper_rows(r, p) if np.ndim(r) == 2 else _ap_paper_arrays(r, p)
+    return _ap_devkit_rows(r, p) if np.ndim(r) == 2 else _ap_devkit_rows(r[None], p[None])[0]
 
 
 def _recall_grid(recall: np.ndarray, precision: np.ndarray, r_s: np.ndarray,
@@ -489,20 +521,17 @@ def write_curve_csv(arrays: Sequence[np.ndarray], path: str | Path) -> None:
         f.writelines(_formatted(arrays, "%.6f,%.6f,%.6f,%.6f,%.6f\r\n", ""))
 
 
+def _curve_json(arrays: Sequence[np.ndarray]) -> Iterable[str]:
+    yield "["
+    yield from _formatted([arrays[CURVE_FIELDS.index(k)] for k in _JSON_KEYS], _JSON_POINT, ",")
+    yield "\n      ]" if len(arrays[0]) else "]"
+
+
 def write_report_json(report: EvaluationReport, path: str | Path) -> None:
     """``model.dump_json(report.to_dict(), path)`` byte for byte, curves streamed.
 
-    An unquoted ``"curve": null`` can only be a curve's placeholder, as
-    ``json`` escapes every ``"`` in a string. Curve values are finite, so
-    ``%r`` writes them as ``json`` does.
+    Curve values are finite, so ``%r`` writes them as ``json`` does.
     """
-    text = json.dumps(report._as_dict([None] * len(report.results)), indent=2, sort_keys=True)
-    parts = text.split('"curve": null')
     with open(path, "w") as f:
-        f.write(parts[0])
-        for res, rest in zip(report.results, parts[1:]):
-            f.write('"curve": [')
-            f.writelines(_formatted([res.arrays[CURVE_FIELDS.index(k)] for k in _JSON_KEYS],
-                                    _JSON_POINT, ","))
-            f.write(("\n      ]" if len(res.arrays[0]) else "]") + rest)
-        f.write("\n")
+        f.writelines(json_pieces(report._as_dict([None] * len(report.results)), "curve",
+                                 (_curve_json(res.arrays) for res in report.results)))

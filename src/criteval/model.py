@@ -461,11 +461,27 @@ def detections_to_dict(detections: Iterable[Detection]) -> dict[str, Any]:
     return {"results": results}
 
 
-def dump_json(data: Any, path: str | Path) -> None:
-    """Write JSON with a byte-deterministic layout."""
+def json_pieces(data: Any, key: str, fills: Iterable[Iterable[str]]) -> Iterator[str]:
+    """``dump_json``'s text of ``data``, the value of its n-th ``"key": null`` the n-th fill's
+    pieces. Only such a value is an unquoted ``"key": null``: ``json`` escapes ``"`` in strings."""
+    head, *rests = json.dumps(data, indent=2, sort_keys=True).split(f'"{key}": null')
+    yield head
+    for fill, rest in zip(fills, rests):
+        yield f'"{key}": '
+        yield from fill
+        yield rest
+    yield "\n"
+
+
+def dump_json(data: Any, path: str | Path, key: str | None = None,
+              fills: Iterable[Iterable[str]] = ()) -> None:
+    """Write JSON with a byte-deterministic layout; with ``key``, as ``json_pieces``."""
     with open(path, "w") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
-        f.write("\n")
+        if key is None:
+            json.dump(data, f, indent=2, sort_keys=True)
+            f.write("\n")
+        else:
+            f.writelines(json_pieces(data, key, fills))
 
 
 # ---------------------------------------------------------------------------

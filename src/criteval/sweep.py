@@ -17,13 +17,15 @@ detectors by descending metric, ties broken by ascending name. Both
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .criticality import CriticalityConfig
 from .metrics import DEFAULT_EVAL_RANGE, CurveAccumulator, ap_from_arrays, ap_function
+from . import model
 from .model import Dataset, Detection, IngestError
 
 SWEEP_CSV_HEADER = ["detector", "class", "l", "d_max", "r_max", "t_max", "ap", "ap_crit"]
@@ -89,7 +91,7 @@ def evaluate_sweep(
     """Complete table, sorted by detector, limit, d_max, r_max, t_max.
 
     Each (d_max, r_max) slice of the grid is one batched reweighting over
-    all its t_max values and all limits.
+    all its t_max values and all limits, and one batched summary per limit.
     """
     if not detections_by_detector:
         raise ValueError("at least one detector is required")
@@ -107,9 +109,8 @@ def evaluate_sweep(
                 # The classic AP is the same in every slice.
                 ap = table[0].ap if table else ap_from_arrays(ap_style, recall, precision)
                 table.extend(
-                    SweepRow(name, class_name, limit, head.d_max, head.r_max, t_max,
-                             ap, ap_from_arrays(ap_style, r_s_row, p_r_row))
-                    for t_max, p_r_row, r_s_row in zip(grid.t_values, p_r, r_s)
+                    SweepRow(name, class_name, limit, head.d_max, head.r_max, t_max, ap, ap_crit)
+                    for t_max, ap_crit in zip(grid.t_values, ap_from_arrays(ap_style, r_s, p_r))
                 )
         rows.extend(row for limit in sorted(tables) for row in tables[limit])
     return rows
@@ -221,3 +222,29 @@ def rankings_report(rows: Sequence[SweepRow], dist_limits: Sequence[float]) -> d
         "n_differing_by_l": differing,
         "per_config": per_config,
     }
+
+
+# A per_config entry as json.dump(indent=2, sort_keys=True) lays it out, after its line break.
+_CONFIG_JSON = "\n    {\n%s\n    }" % ",\n".join(f'      "{k}": %s' for k in (
+    "d_max", "l", "max_displacement", "n_moved", "order_ap", "order_ap_crit", "r_max", "t_max"))
+
+
+def write_rankings_json(report: Mapping[str, Any], path: str | Path) -> None:
+    """``model.dump_json(report, path)`` byte for byte for a ``rankings_report``, streamed.
+
+    Each per_config entry fills one template; each distinct detector order is encoded once.
+    """
+    num = lambda v: repr(v) if type(v) is float and math.isfinite(v) else json.dumps(v)
+    orders: dict[tuple[str, ...], str] = {}
+    order = lambda names: orders.get(tuple(names)) or orders.setdefault(
+        tuple(names), json.dumps(names, indent=2).replace("\n", "\n      "))
+
+    def per_config() -> Iterator[str]:
+        yield "["
+        for i, c in enumerate(report["per_config"]):
+            yield ("," if i else "") + _CONFIG_JSON % (
+                num(c["d_max"]), num(c["l"]), c["max_displacement"], c["n_moved"],
+                order(c["order_ap"]), order(c["order_ap_crit"]), num(c["r_max"]), num(c["t_max"]))
+        yield "\n  ]" if report["per_config"] else "]"
+
+    model.dump_json({**report, "per_config": None}, path, "per_config", [per_config()])

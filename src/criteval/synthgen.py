@@ -181,12 +181,20 @@ def _clamp01(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
+def _finite_detection(frame_id: str, state: ObjectState, confidence: float) -> Detection:
+    """A detection whose drawn numbers are finite; a huge noise sigma can overflow a draw."""
+    values = (*state.center, *(state.velocity or ()))
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"frame {frame_id!r}: drew a non-finite center or velocity {values}")
+    return Detection(frame_id, state, confidence)
+
+
 def corrupt(dataset: Dataset, model: ErrorModel, seed: int) -> list[Detection]:
     """Derive detections from ground truth with seeded misses, noise and FPs.
 
     Frames and objects are visited in dataset order with a fixed draw
     sequence per object, so the output is a pure function of (dataset,
-    model, seed).
+    model, seed). A draw that is not finite raises ``ValueError``.
     """
     rng = SplitMix64(seed)
     detections: list[Detection] = []
@@ -218,7 +226,7 @@ def corrupt(dataset: Dataset, model: ErrorModel, seed: int) -> list[Detection]:
                 size=obj.size,
                 yaw=obj.yaw,
             )
-            detections.append(Detection(frame.frame_id, state, confidence))
+            detections.append(_finite_detection(frame.frame_id, state, confidence))
             index += 1
         for _ in range(rng.poisson(model.fp_rate_per_frame)):
             angle = 2.0 * math.pi * rng.uniform()
@@ -237,9 +245,8 @@ def corrupt(dataset: Dataset, model: ErrorModel, seed: int) -> list[Detection]:
                 size=DEFAULT_OBJECT_SIZE,
                 yaw=direction,
             )
-            detections.append(
-                Detection(frame.frame_id, state, _clamp01(rng.gauss(conf_params["mean"], conf_params["std"])))
-            )
+            detections.append(_finite_detection(
+                frame.frame_id, state, _clamp01(rng.gauss(conf_params["mean"], conf_params["std"]))))
             index += 1
     return detections
 

@@ -199,6 +199,15 @@ def brute_force_cpa(
     return float(distances[best]), float(times[best])
 
 
+def devkit_ap_oracle(r: np.ndarray, p: np.ndarray) -> float:
+    """Devkit AP of one curve, summarized on its own (test oracle of the batched summary)."""
+    if len(r) == 0:
+        return 0.0
+    prec = np.interp(np.linspace(0.0, 1.0, 101), r, p, right=0.0)[11:] - 0.1
+    prec[prec < 0] = 0.0
+    return min(1.0, float(np.mean(prec)) / 0.9)
+
+
 def curve_csv_oracle(curve: list[CurvePoint]) -> bytes:
     """A curve CSV as ``csv.writer`` lays it out, six decimals per value (test oracle)."""
     buf = io.StringIO(newline="")

@@ -541,6 +541,26 @@ def test_generate_writes_gt_and_detector_files(tmp_path):
     assert (out / "sharp.json").read_bytes() != (out3 / "sharp.json").read_bytes()
 
 
+def test_generate_overflowing_noise_draw_exits_one_and_writes_nothing(tmp_path, capsys):
+    """A Box-Muller draw of sigma 1e308 overflows at seed 3; no results file may hold inf."""
+    spec = {
+        "scenario": {"n_frames": 2, "seed": 1, "ego": {"start": [0, 0], "velocity": [0, 3]},
+                     "objects": [{"start": [0, 40], "velocity": [0, -8]}]},
+        "detectors": {"loud": {"center_noise_sigma": 1e308}, "quiet": {}},
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "gen"
+    assert main(["generate", "--spec", str(spec_path), "--seed", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.detectors.loud: frame 'frame000': drew a non-finite center or velocity (")
+    assert "inf" in err and err.count("\n") == 1
+    assert not out.exists()
+    # Seed 1 draws finite numbers: the files load.
+    assert main(["generate", "--spec", str(spec_path), "--seed", "1", "--out", str(out)]) == 0
+    assert len(model.load_detections(out / "loud.json")) == 2
+
+
 def test_birdview_command_matches_golden(tmp_path):
     out = tmp_path / "view.svg"
     code = main(

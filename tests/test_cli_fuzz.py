@@ -1,4 +1,8 @@
-"""Mutated scenario, detector-spec and sweep-table files through ``cli.main``.
+"""Mutated input files of every command through ``cli.main``.
+
+Scenario and detector-spec files go through ``generate``, ground-truth,
+results and grid files through ``evaluate`` and ``sweep``, and sweep tables
+through ``rank``.
 
 Every mutated file must either work (exit 0) or be rejected with exit 1 and
 an ``error: ...`` line; no exception may escape. Mutations drop keys, cells
@@ -153,3 +157,57 @@ def test_rank_survives_mutated_tables(data):
         with open(path, "w", newline="") as f:
             csv.writer(f).writerows(table)
         _run(["rank", "--table", str(path), *options])
+
+
+_GT = {
+    "frames": [
+        {"frame_id": "f0", "timestamp": 0.0,
+         "ego": {"center": [0.0, 0.0], "velocity": [0.0, 3.0], "yaw": 1.5, "size": [2.0, 5.0]},
+         "objects": [
+             {"id": "a", "class": "car", "center": [5.0, 10.0], "velocity": [0.0, -2.0],
+              "size": [2.0, 4.5], "yaw": 0.1},
+             {"id": "b", "class": "car", "center": [-8.0, 20.0, 1.0], "velocity": None,
+              "size": [2.0, 4.5], "yaw": 0.0},
+         ]},
+        {"frame_id": "f1", "timestamp": 0.5,
+         "ego": {"center": [0.0, 1.5], "velocity": [0.0, 3.0]},
+         "objects": [
+             {"id": "a", "class": "car", "center": [5.0, 9.0], "velocity": [0.0, -2.0],
+              "size": [2.0, 4.5], "yaw": 0.1},
+         ]},
+    ],
+    "meta": {"source": "fuzz"},
+}
+_RESULTS = {
+    "results": {
+        "f0": [
+            {"class": "car", "center": [5.2, 9.9], "velocity": [0.1, -2.1], "size": [2.0, 4.4],
+             "yaw": 0.1, "confidence": 0.9},
+            {"class": "car", "center": [30.0, -4.0], "velocity": None, "size": [2.0, 4.5],
+             "yaw": 0.0, "confidence": 0.4},
+        ],
+        "f1": [
+            {"class": "car", "center": [5.1, 8.8], "velocity": [0.0, -1.9], "size": [2.0, 4.5],
+             "yaw": 0.1, "confidence": 0.8},
+        ],
+    },
+}
+_GRID = {"d_values": [10.0, 20.0], "r_values": [20.0], "t_values": [4.0, 8.0]}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_evaluate_and_sweep_survive_mutated_inputs(data):
+    documents = {"gt": [copy.deepcopy(_GT)], "pred": [copy.deepcopy(_RESULTS)],
+                 "grid": [copy.deepcopy(_GRID)]}
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(documents[data.draw(st.sampled_from(sorted(documents)))], data)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / f"{name}.json" for name in documents}
+        for name, holder in documents.items():
+            paths[name].write_text(json.dumps(holder[0]))
+        inputs = ["--gt", str(paths["gt"]), "--dist-limits", "1,2"]
+        _run(["evaluate", *inputs, "--pred", str(paths["pred"]),
+              "--dmax", "20", "--rmax", "20", "--tmax", "8", "--out", str(Path(tmp) / "e")])
+        _run(["sweep", *inputs, "--pred", f"x={paths['pred']}", "--grid", str(paths["grid"]),
+              "--out", str(Path(tmp) / "s")])

@@ -24,6 +24,7 @@ from criteval.metrics import (
     EvaluationReport,
     LimitResult,
     _ScoreTerms,
+    ap_from_arrays,
     average_precision,
     build_curve,
     devkit_average_precision,
@@ -42,6 +43,7 @@ from helpers import (
     classic_pr,
     counts_from_match,
     curve_csv_oracle,
+    devkit_ap_oracle,
     in_scope,
     make_ego,
     make_frame,
@@ -341,6 +343,87 @@ def test_batched_kernel_matches_scalar_path(each_case, extra, d_max, r_max, t_va
                 assert np.array_equal(batch[k], one_row[k])
             for k in (3, 4):
                 assert np.array_equal(batch[k][i], one_row[k])
+                assert batch[k][i].tobytes() == one_row[k].tobytes()
+                assert batch[k].flags.c_contiguous
+
+
+_UNIT = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0.1, 0.09999999999999999])
+_KEPT = st.floats(min_value=0.1, max_value=1.0)
+
+
+@st.composite
+def _curve_row(draw, cuts: int) -> tuple[list[float], list[float]]:
+    """One (recall, precision) row, recall nondecreasing, shaped as the summaries meet it."""
+    kind = draw(st.sampled_from(["run_from_start", "dip", "none", "any"]))
+    if kind == "run_from_start":  # every point kept
+        r = sorted(draw(st.lists(_KEPT, min_size=cuts, max_size=cuts)))
+        return r, draw(st.lists(_KEPT, min_size=cuts, max_size=cuts))
+    r = sorted(draw(st.lists(_UNIT, min_size=cuts, max_size=cuts)))
+    if kind == "none":  # nothing kept
+        return r, draw(st.lists(st.floats(0.0, 0.09999999999999999), min_size=cuts, max_size=cuts))
+    p = draw(st.lists(_KEPT if kind == "dip" else _UNIT, min_size=cuts, max_size=cuts))
+    if kind == "dip" and cuts > 2:  # precision below the floor mid-curve splits the kept run
+        p[draw(st.integers(1, cuts - 2))] = draw(st.floats(0.0, 0.09999999999999999))
+    return r, p
+
+
+@given(data=st.data(), cuts=st.integers(min_value=0, max_value=12),
+       rows=st.integers(min_value=0, max_value=6), ap_style=st.sampled_from(metrics.AP_STYLES))
+@settings(max_examples=300, deadline=None)
+def test_batched_ap_equals_the_per_row_call(data, cuts, rows, ap_style):
+    pairs = [data.draw(_curve_row(cuts)) for _ in range(rows)]
+    r = np.array([r for r, _ in pairs], dtype=np.float64).reshape(rows, cuts)
+    p = np.array([p for _, p in pairs], dtype=np.float64).reshape(rows, cuts)
+    batched = ap_from_arrays(ap_style, r, p)
+    assert isinstance(batched, list) and all(type(ap) is float for ap in batched)
+    assert list(map(repr, batched)) == [repr(ap_from_arrays(ap_style, r[i].copy(), p[i].copy()))
+                                        for i in range(rows)]
+    if ap_style == "devkit":
+        assert list(map(repr, batched)) == [repr(devkit_ap_oracle(r[i], p[i])) for i in range(rows)]
+
+
+def test_batched_paper_ap_falls_back_only_for_a_split_run(monkeypatch):
+    r = np.array([[0.2, 0.4, 0.6, 0.8], [0.2, 0.4, 0.6, 0.8], [0.0, 0.05, 0.1, 0.3],
+                  [0.2, 0.4, 0.6, 0.8]])
+    p = np.array([[1.0, 0.9, 0.8, 0.7], [1.0, 0.05, 0.8, 0.7], [1.0, 0.9, 0.8, 0.7],
+                  [0.05, 0.05, 0.05, 0.05]])
+    calls = []
+    one_row = metrics._ap_paper_arrays
+    monkeypatch.setattr(metrics, "_ap_paper_arrays", lambda *a: calls.append(a) or one_row(*a))
+    batched = ap_from_arrays("paper", r, p)
+    assert len(calls) == 1 and np.array_equal(calls[0][1], p[1])
+    assert batched == [one_row(r[i], p[i]) for i in range(4)]
+    assert batched[3] == 0.0 and min(batched[:3]) > 0.0
+
+
+def test_slice_with_a_zero_precision_denominator_prefix_is_vacuous_there():
+    """p_r's denominator is zero over the first cuts of some t_max rows only.
+
+    The top prediction is beyond d_max, passes ego beyond r_max and gets there
+    after 150/26 s: its kappa is 0 for t_max 2 and 4 and positive for 8.
+    """
+    objects = [make_state(object_id="far", center=(0.0, 30.0), velocity=(1.0, -5.0)),
+               make_state(object_id="near", center=(0.0, 5.0), velocity=(0.0, -3.0))]
+    dataset = Dataset(frames=[make_frame("f0", 0.0, make_ego(), objects)])
+    detections = [Detection("f0", objects[0], 0.9), Detection("f0", objects[1], 0.5)]
+    acc = CurveAccumulator(dataset, detections, "car", [1.0])
+    for t_values in ([2.0, 4.0], [2.0, 4.0, 8.0], [8.0, 2.0]):
+        head = CriticalityConfig(20.0, 5.0, t_values[0])
+        ((_, _, _, p_r, r_s),) = acc.curve_arrays(head, t_values=t_values)
+        for row, t_max in enumerate(t_values):
+            ((_, _, _, p_r_one, r_s_one),) = acc.curve_arrays(dataclasses.replace(head, t_max=t_max))
+            assert p_r[row].tobytes() == p_r_one.tobytes()
+            assert r_s[row].tobytes() == r_s_one.tobytes()
+            assert p_r[row][0] == 1.0  # 0 / 0 without the vacuous fill
+            assert (r_s[row][0] > 0.0) == (t_max == 8.0)  # the only cap above 150/26 s
+
+
+def test_no_t_values_give_no_rows_before_and_after_a_slice():
+    dataset = _two_frame_dataset()
+    acc = CurveAccumulator(dataset, perfect_detections(dataset, 0.7), "car", [1.0])
+    for t_values in ([], [4.0, 8.0], []):
+        ((thresholds, _, _, p_r, r_s),) = acc.curve_arrays(CFG, t_values=t_values)
+        assert p_r.shape == r_s.shape == (len(t_values), len(thresholds))
 
 
 @given(

@@ -1,14 +1,17 @@
 """Configuration grids, sweep tables, rankings."""
 
 import itertools
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from criteval import sweep
 from criteval.criticality import CriticalityConfig
 from criteval.metrics import evaluate_detector
-from criteval.model import Dataset
+from criteval.model import Dataset, dump_json
 from criteval.sweep import (
     ConfigGrid,
     SweepRow,
@@ -19,6 +22,7 @@ from criteval.sweep import (
     ranking_diff,
     rankings_report,
     read_sweep_csv,
+    write_rankings_json,
     write_sweep_csv,
 )
 from criteval.synthgen import ErrorModel, corrupt, gen_dataset
@@ -207,3 +211,36 @@ def test_rankings_report_counts_differing_configs():
     assert orders[(20.0, 20.0, 8.0)] == (["B", "A"], ["A", "B"])
     assert orders[(10.0, 20.0, 8.0)] == (["B", "A"], ["B", "A"])
     assert report["n_differing_by_l"] == {"1.0": 1}
+
+
+# Limits and caps as the CLI gives them, plus integers, infinity and values whose repr takes
+# an exponent. Equal values such as 1 and 1.0 never both appear, so each row has its own cell.
+_CAPS = (st.sampled_from([0.5, 1.0, 2.0, 4.0, 1e-07, 1e16, 3, math.inf]) | st.floats(1e-3, 1e3)
+         | st.integers(1, 50))
+_NAMES = st.sampled_from(['q"uote', "back\\slash", "\u00e9t\u00e9", "\u8eca", "a", "b"]) | st.text(max_size=6)
+
+
+@given(names=st.lists(_NAMES, min_size=1, max_size=4, unique=True),
+       limits=st.lists(_CAPS, min_size=1, max_size=3, unique=True),
+       configs=st.lists(st.tuples(_CAPS, _CAPS, _CAPS), min_size=1, max_size=3, unique=True),
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_streamed_rankings_json_equals_dump_json(tmp_path_factory, names, limits, configs, data):
+    scores = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    rows = [SweepRow(name, "car", limit, *config, data.draw(scores), data.draw(scores))
+            for name in names for limit in limits for config in configs]
+    report = rankings_report(rows, limits)
+    out = tmp_path_factory.mktemp("rankings")
+    write_rankings_json(report, out / "streamed.json")
+    dump_json(report, out / "dumped.json")
+    assert (out / "streamed.json").read_bytes() == (out / "dumped.json").read_bytes()
+
+
+def test_streamed_rankings_json_of_a_sweep(tmp_path):
+    dataset, detectors = _sweep_inputs()
+    report = rankings_report(evaluate_sweep(dataset, detectors, SMALL_GRID, [1.0, 2.0], "car"),
+                             [1.0, 2.0])
+    write_rankings_json(report, tmp_path / "streamed.json")
+    dump_json(report, tmp_path / "dumped.json")
+    assert (tmp_path / "streamed.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
+    assert json.loads((tmp_path / "streamed.json").read_text()) == report
