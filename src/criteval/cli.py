@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -159,18 +160,21 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     data = model.read_json(args.spec)
-    if isinstance(data, dict) and "scenario" in data:
-        spec = synthgen.scenario_from_dict(data["scenario"], "$.scenario")
-    else:
-        spec = synthgen.scenario_from_dict(data)
+    root = "$.scenario" if isinstance(data, dict) and "scenario" in data else "$"
+    spec = synthgen.scenario_from_dict(data["scenario"] if root != "$" else data, root)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    dataset = synthgen.gen_dataset(spec)
-    out = Path(args.out)
-    files = [(out / "gt.json", model.dataset_to_dict(dataset))]
     detectors = data.get("detectors", {})
     if not isinstance(detectors, dict):
         raise model.IngestError("$.detectors: expected an object")
+    if "gt" in detectors:
+        raise model.IngestError("$.detectors.gt: the name is taken by the ground truth, gt.json")
+    try:
+        dataset = synthgen.gen_dataset(spec)
+    except ValueError as exc:
+        raise ValueError(f"{root}.{exc}") from None
+    out = Path(args.out)
+    files = [(out / "gt.json", model.dataset_to_dict(dataset))]
     # Every detector is drawn before any file is written.
     for i, name in enumerate(sorted(detectors)):
         error_model = synthgen.error_model_from_dict(detectors[name], f"$.detectors.{name}")
@@ -278,11 +282,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()  # commands build only acyclic containers, which reference counting frees
     try:
         return args.fn(args)
     except (model.IngestError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

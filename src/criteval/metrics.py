@@ -502,9 +502,9 @@ def evaluate_detector(
 
 _CHUNK_ROWS = 4096
 # A curve point as json.dump(indent=2, sort_keys=True) lays it out at
-# results[i].curve[j], after its line break: keys sorted, each value by float.__repr__.
+# results[i].curve[j], after its line break: keys sorted, each value as float.__repr__ text.
 _JSON_KEYS = sorted(CURVE_FIELDS)
-_JSON_POINT = "\n        {\n%s\n        }" % ",\n".join(f'          "{k}": %r' for k in _JSON_KEYS)
+_JSON_POINT = "\n        {\n%s\n        }" % ",\n".join(f'          "{k}": %s' for k in _JSON_KEYS)
 
 
 def _formatted(columns: Sequence[np.ndarray], row: str, sep: str) -> Iterable[str]:
@@ -521,17 +521,31 @@ def write_curve_csv(arrays: Sequence[np.ndarray], path: str | Path) -> None:
         f.writelines(_formatted(arrays, "%.6f,%.6f,%.6f,%.6f,%.6f\r\n", ""))
 
 
-def _curve_json(arrays: Sequence[np.ndarray]) -> Iterable[str]:
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each value, as an object array; called once per run of bit-identical values."""
+    bits = values.view(np.int64)  # unlike ==, tells 0.0 from -0.0
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1]))[:len(bits)])
+    texts = np.array(list(map(repr, values[starts].tolist())), dtype=object)
+    return np.repeat(texts, np.diff(starts, append=len(bits)))
+
+
+def _curve_json(arrays: Sequence[np.ndarray], thresholds: list) -> Iterable[str]:
+    """A curve's JSON text; ``thresholds`` holds the last threshold array and its text."""
     yield "["
-    yield from _formatted([arrays[CURVE_FIELDS.index(k)] for k in _JSON_KEYS], _JSON_POINT, ",")
+    if thresholds[0] is not arrays[0]:
+        thresholds[:] = arrays[0], _reprs(arrays[0])
+    texts = dict(zip(CURVE_FIELDS[1:], map(_reprs, arrays[1:])), threshold=thresholds[1])
+    yield from _formatted([texts[k] for k in _JSON_KEYS], _JSON_POINT, ",")
     yield "\n      ]" if len(arrays[0]) else "]"
 
 
 def write_report_json(report: EvaluationReport, path: str | Path) -> None:
     """``model.dump_json(report.to_dict(), path)`` byte for byte, curves streamed.
 
-    Curve values are finite, so ``%r`` writes them as ``json`` does.
+    Curve values are finite, so their ``repr`` is what ``json`` writes. The
+    limits of a report share one threshold array, whose text is built once.
     """
+    thresholds: list = [None, None]
     with open(path, "w") as f:
         f.writelines(json_pieces(report._as_dict([None] * len(report.results)), "curve",
-                                 (_curve_json(res.arrays) for res in report.results)))
+                                 (_curve_json(res.arrays, thresholds) for res in report.results)))

@@ -146,28 +146,36 @@ class ErrorModel:
         return steps[-1][1] if steps else 0.0
 
 
+def _center(start: Vec2, velocity: Vec2 | None, t: float, where: str) -> Vec2:
+    """``start + velocity * t``, which a huge velocity can overflow; no file may hold inf."""
+    vx, vy = (0.0, 0.0) if velocity is None else velocity
+    center = Vec2(start.x + vx * t, start.y + vy * t)
+    if not (math.isfinite(center.x) and math.isfinite(center.y)):
+        raise ValueError(f"{where}: the center overflows to {tuple(center)} at t={t} s")
+    return center
+
+
 def gen_dataset(spec: ScenarioSpec) -> Dataset:
-    """Frames sampled every 0.5 s; objects with unknown velocity stay put."""
+    """Frames sampled every 0.5 s; objects with unknown velocity stay put. A center that
+    overflows raises ``ValueError`` naming ``ego`` or ``objects[i]``."""
     frames: list[Frame] = []
     for k in range(spec.n_frames):
         t = k * KEYFRAME_INTERVAL
         ego = ObjectState(
             object_id=EGO_ID,
             class_name=EGO_ID,
-            center=Vec2(spec.ego_start.x + spec.ego_velocity.x * t,
-                        spec.ego_start.y + spec.ego_velocity.y * t),
+            center=_center(spec.ego_start, spec.ego_velocity, t, "ego"),
             velocity=spec.ego_velocity,
             size=DEFAULT_EGO_SIZE,
             yaw=_heading(spec.ego_velocity),
         )
         objects = []
         for i, obj in enumerate(spec.objects):
-            vx, vy = (0.0, 0.0) if obj.velocity is None else (obj.velocity.x, obj.velocity.y)
             objects.append(
                 ObjectState(
                     object_id=obj.object_id or f"obj{i:03d}",
                     class_name=obj.class_name,
-                    center=Vec2(obj.start.x + vx * t, obj.start.y + vy * t),
+                    center=_center(obj.start, obj.velocity, t, f"objects[{i}]"),
                     velocity=obj.velocity,
                     size=obj.size,
                     yaw=_heading(obj.velocity),

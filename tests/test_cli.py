@@ -1,5 +1,6 @@
 """End-to-end command-line behavior."""
 
+import gc
 import json
 from pathlib import Path
 
@@ -10,7 +11,12 @@ from criteval.cli import main
 from criteval.model import dataset_to_dict, detections_to_dict, dump_json
 from criteval.synthgen import gen_dataset
 
-from helpers import divergence_scenario, perfect_detections, random_scenario_spec
+from helpers import (
+    divergence_scenario,
+    perfect_detections,
+    random_scenario_spec,
+    sweep_dataset_and_detectors,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -559,6 +565,88 @@ def test_generate_overflowing_noise_draw_exits_one_and_writes_nothing(tmp_path, 
     # Seed 1 draws finite numbers: the files load.
     assert main(["generate", "--spec", str(spec_path), "--seed", "1", "--out", str(out)]) == 0
     assert len(model.load_detections(out / "loud.json")) == 2
+
+
+@pytest.mark.parametrize(
+    "nested, field, message",
+    [
+        (True, ("objects", 0, "velocity"), "$.scenario.objects[0]: the center overflows to (10.0, inf) at t=2.0 s"),
+        (False, ("objects", 0, "velocity"), "$.objects[0]: the center overflows to (10.0, inf) at t=2.0 s"),
+        (True, ("ego", "velocity"), "$.scenario.ego: the center overflows to (0.0, inf) at t=2.0 s"),
+    ],
+)
+def test_generate_overflowing_center_exits_one_and_writes_nothing(tmp_path, capsys, nested, field, message):
+    """start + velocity * t reaches inf at t = 2 s; gt.json may not hold it."""
+    scenario = json.loads(json.dumps(dict(_SPEC, n_frames=5)))
+    parent = scenario
+    for key in field[:-1]:
+        parent = parent[key]
+    parent[field[-1]] = [0, 1e308]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"scenario": scenario} if nested else scenario))
+    out = tmp_path / "g"
+    assert main(["generate", "--spec", str(spec_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    # Four frames stop at t = 1.5 s, before the overflow.
+    spec_path.write_text(json.dumps(dict(scenario, n_frames=4)))
+    assert main(["generate", "--spec", str(spec_path), "--out", str(out)]) == 0
+    assert len(model.load_ground_truth(out / "gt.json").frames) == 4
+
+
+def test_generate_detector_named_gt_exits_one_and_writes_nothing(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"scenario": _SPEC, "detectors": {"a": {}, "gt": {}}}))
+    out = tmp_path / "g"
+    assert main(["generate", "--spec", str(spec_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: $.detectors.gt: the name is taken by the ground truth, gt.json\n"
+    assert not out.exists()
+
+
+def _run_with_gc(enabled, argv):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        return main(argv), gc.isenabled()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_commands_leave_the_collector_as_they_found_it(synthetic_inputs, tmp_path, enabled):
+    gt, pred = synthetic_inputs
+    args = ["evaluate", "--gt", str(gt), "--dmax", "20", "--rmax", "20", "--tmax", "8",
+            "--out", str(tmp_path / "out")]
+    assert _run_with_gc(enabled, args + ["--pred", str(pred)]) == (0, enabled)
+    assert _run_with_gc(enabled, args + ["--pred", str(tmp_path / "absent.json")]) == (1, enabled)
+
+
+def test_commands_leave_no_garbage_per_object_to_the_collector(tmp_path, capsys):
+    """With the collector off, every cycle a command makes stays until gc.collect(): their
+    number may not grow with the corpus, or a large run would grow its memory unchecked."""
+    found = {}
+    for n_scenes in (10, 20):  # the 200-frame test corpus and twice that
+        dataset, detectors = sweep_dataset_and_detectors(n_scenes=n_scenes)
+        inputs = tmp_path / f"in{n_scenes}"
+        inputs.mkdir()
+        dump_json(dataset_to_dict(dataset), inputs / "gt.json")
+        for name, dets in detectors.items():
+            dump_json(detections_to_dict(dets), inputs / f"{name}.json")
+        (inputs / "grid.json").write_text('{"d_values": [20], "r_values": [10, 20], "t_values": [8]}')
+        gt = ["--gt", str(inputs / "gt.json")]
+        for argv in (["evaluate", *gt, "--pred", str(inputs / "farblind.json"),
+                      "--dmax", "20", "--rmax", "20", "--tmax", "8"],
+                     ["sweep", *gt, *(f"--pred={inputs / name}.json" for name in detectors),
+                      "--grid", str(inputs / "grid.json")]):
+            gc.disable()
+            try:
+                gc.collect()
+                assert main([*argv, "--out", str(tmp_path / f"out{n_scenes}")]) == 0
+                found[argv[0], n_scenes] = gc.collect()
+            finally:
+                gc.enable()
+    capsys.readouterr()
+    for command in ("evaluate", "sweep"):
+        assert abs(found[command, 20] - found[command, 10]) <= 50, found
 
 
 def test_birdview_command_matches_golden(tmp_path):

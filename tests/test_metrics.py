@@ -544,6 +544,47 @@ def test_writers_match_their_oracles_byte_for_byte(tmp_path_factory, report, chu
         assert [CurvePoint(**pt) for pt in curve] == res.curve
 
 
+# Bit patterns that compare equal (0.0 and -0.0) or whose repr is long, plus any finite float.
+run_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.30000000000000004, 0.12345678901234568]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def run_columns(draw, n):
+    """A column of ``n`` values made of runs of one repeated value each."""
+    run_of = np.cumsum(draw(st.lists(st.booleans(), min_size=n, max_size=n))) if n else []
+    values = draw(st.lists(run_floats, min_size=n + 1, max_size=n + 1))
+    return np.array(values, dtype=np.float64)[run_of]
+
+
+@st.composite
+def run_reports(draw):
+    """Reports like the kernel's: one threshold array shared by every limit, runs of equal values."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    thresholds = draw(run_columns(n))
+    results = [LimitResult(float(i + 1), 0.5, 0.25,
+                           (thresholds, *(draw(run_columns(n)) for _ in range(4))), {"step": 0.01})
+               for i in range(draw(st.integers(min_value=1, max_value=4)))]
+    return EvaluationReport("car", CriticalityConfig(20.0, 20.0, 8.0), "paper", 50.0, results,
+                            {"n_frames": 1})
+
+
+@given(report=run_reports(), chunk_rows=st.integers(min_value=1, max_value=4))
+@settings(max_examples=150, deadline=None)
+def test_report_writer_formats_runs_of_equal_values_exactly(tmp_path_factory, report, chunk_rows):
+    """Each run of bit-identical values is formatted once: 0.0 next to -0.0 is two runs,
+    and runs cross chunk boundaries."""
+    path = tmp_path_factory.mktemp("runs") / "report.json"
+    saved, metrics._CHUNK_ROWS = metrics._CHUNK_ROWS, chunk_rows
+    try:
+        write_report_json(report, path)
+    finally:
+        metrics._CHUNK_ROWS = saved
+    assert path.read_bytes() == report_json_oracle(report)
+
+
 def test_writers_match_their_oracles_on_kernel_curves(tmp_path):
     """Vacuous one-point curves and curves longer than one write chunk, from the kernel."""
     dataset = gen_dataset(random_scenario_spec(seed=21, n_frames=6))
