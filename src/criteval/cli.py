@@ -169,6 +169,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         raise model.IngestError("$.detectors: expected an object")
     if "gt" in detectors:
         raise model.IngestError("$.detectors.gt: the name is taken by the ground truth, gt.json")
+    for name in detectors:  # each names a file in --out
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise model.IngestError(f"$.detectors.{name}: a detector name must be a file name: "
+                                    "not empty, '.' or '..', and without '/', '\\' or NUL")
     try:
         dataset = synthgen.gen_dataset(spec)
     except ValueError as exc:

@@ -6,15 +6,14 @@ accumulated over the whole dataset per threshold; with no detections a
 curve is one vacuous point at threshold 1.0. Approach geometry depends
 neither on the criticality caps nor on the distance limit, and matching
 only on the limit, so :class:`CurveAccumulator` filters and classifies
-each object once per (detector, class), matches once per limit, and
-reweights cheaply for any number of configurations.
+each object once per (detector, class), as columns, matches once per
+limit, and reweights cheaply for any number of configurations.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from array import array
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -24,10 +23,11 @@ import numpy as np
 from .criticality import (
     CASE_MISSING_VELOCITY,
     CASE_NONFINITE_TIME,
+    CASE_RECEDING,
     CASE_TRACKED,
+    CASE_ZERO_REL_VELOCITY,
     NONFINITE_TIME_SCORE,
     CriticalityConfig,
-    classify,
 )
 from .matching import greedy_assign
 from .model import Dataset, Detection, DetectionTable, ingest_summary, json_pieces
@@ -95,13 +95,11 @@ class _ScoreTerms:
 
     Each score is ``max(0, -x**2 / cap**2 + 1)`` or a case's fixed value, so
     keeping ``-x**2`` per object leaves one pass per cap value, with the
-    same operations in the same order as ``weights_from_class``. Each row
-    starts with the four fields of a ``classify`` result.
+    same operations in the same order as ``weights_from_class``. It takes
+    the four columns of a ``classify`` result.
     """
 
-    def __init__(self, rows: Sequence[tuple]):
-        case = np.array([r[0] for r in rows], dtype=np.int64)
-        d_b, d_c, d_t = (np.array([r[k] for r in rows], dtype=np.float64) for k in (1, 2, 3))
+    def __init__(self, case: np.ndarray, d_b: np.ndarray, d_c: np.ndarray, d_t: np.ndarray):
         with np.errstate(over="ignore", invalid="ignore"):
             self._neg_sq_b = -(d_b * d_b)
             self._neg_sq_c = -(d_c * d_c)
@@ -152,6 +150,40 @@ def _running_sums(values: np.ndarray, columns: np.ndarray, counts: np.ndarray) -
     return np.take(sums, counts, axis=1)
 
 
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``math.hypot`` of each pair, which ``np.hypot`` does not always round alike."""
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), np.float64, len(x))
+
+
+# bench/spans.py:51 hooks it as the classify layer.
+def classify(ego: Sequence[np.ndarray], obj: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """``criticality.classify`` of each row, as ``(case, d_egoB, d_egoC, delta_t)`` columns.
+
+    ``ego`` holds the ``(x, y, vx, vy)`` columns of each row's ego and ``obj``
+    the ``(x, y, vx, vy, known)`` columns of its object, whose velocity is
+    missing where ``known`` is false. The scalar function's IEEE operations
+    run in its order, each ``hypot`` being ``math.hypot``, so every value is
+    the scalar one bit for bit.
+    """
+    ex, ey, evx, evy = ego
+    bx, by, ovx, ovy, known = obj
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d_ego_b = _hypot(bx - ex, by - ey)
+        vx, vy = ovx - evx, ovy - evy
+        speed = _hypot(vx, vy)
+        ux, uy = vx / speed, vy / speed
+        along = (ex - bx) * ux + (ey - by) * uy
+        cx, cy = bx + along * ux, by + along * uy
+        approaching = (cx - bx) * vx + (cy - by) * vy >= 0.0
+        delta_t = _hypot(bx - cx, by - cy) / speed
+        d_ego_c = _hypot(ex - cx, ey - cy)
+    case = np.select([~known, (vx == 0.0) & (vy == 0.0), ~approaching, np.isfinite(delta_t)],
+                     [CASE_MISSING_VELOCITY, CASE_ZERO_REL_VELOCITY, CASE_RECEDING, CASE_TRACKED],
+                     CASE_NONFINITE_TIME)
+    scored = (case == CASE_TRACKED) | (case == CASE_NONFINITE_TIME)
+    return case, d_ego_b, np.where(scored, d_ego_c, 0.0), np.where(scored, delta_t, 0.0)
+
+
 def check_scope(class_name: str, dist_limits: Iterable[float],
                 max_range: float) -> tuple[float, ...]:
     """The limits as a tuple, once they, ``max_range`` and ``class_name`` prove valid."""
@@ -190,45 +222,44 @@ class CurveAccumulator:
     ):
         limits = self.dist_limits = check_scope(class_name, dist_limits, max_range)
         table = DetectionTable.of(detections)
-        # The rows of the class, and each frame's positions among them, in input order.
-        rows = np.flatnonzero(table.class_index == (
-            table.classes.index(class_name) if class_name in table.classes else -1))
-        bounds = np.searchsorted(rows, table.offsets).tolist()
-        by_frame: dict[str, list[int]] = {}
-        for frame_id, start, stop in zip(table.frame_ids, bounds, bounds[1:]):
-            by_frame.setdefault(frame_id, []).extend(range(start, stop))
-        x, y, vx, vy, known, confidence = (column[rows].tolist() for column in (
-            table.x, table.y, table.vx, table.vy, table.velocity_known, table.confidence))
-        velocity = [(a, b) if k else None for a, b, k in zip(vx, vy, known)]
-        gt_rows: list[tuple[int, float, float, float]] = []
-        pred_rows: list[tuple[int, float, float, float]] = []
-        conf: list[float] = []
-        # The matched ground truth (-1 if none) of each prediction, one array per limit.
-        matches = [array("q") for _ in limits]
-        for frame in sorted(dataset.frames, key=lambda f: f.frame_id):
-            ego = frame.ego.motion
-            ex, ey, _ = ego
-            gts = [g.motion for g in frame.ground_truth if g.class_name == class_name
-                   and math.hypot(g.center.x - ex, g.center.y - ey) <= max_range]
-            dets = [p for p in by_frame.get(frame.frame_id, ())
-                    if math.hypot(x[p] - ex, y[p] - ey) <= max_range]
-            base = len(gt_rows)
-            gt_rows.extend(classify(ego, gt) for gt in gts)
-            # Within-frame rank order; greedy_assign keeps it, as its sort is stable.
-            dets.sort(key=lambda p: -confidence[p])
-            pred_rows.extend(classify(ego, (x[p], y[p], velocity[p])) for p in dets)
-            conf.extend(confidence[p] for p in dets)
-            centers = [(x[p], y[p], confidence[p]) for p in dets]
-            for match, limit in zip(matches, limits):
-                match.extend(-1 if j is None else base + j
-                             for _, j in greedy_assign(gts, centers, limit))
-        # Frames come in frame_id order, so a stable sort makes the global order.
-        order = np.argsort(-np.array(conf, dtype=np.float64), kind="stable")
+        frames = sorted(dataset.frames, key=lambda f: f.frame_id)
+        if any(f.ego.velocity is None for f in frames):
+            raise ValueError("ego velocity must be known")
+        ego = np.reshape([(*f.ego.center, *f.ego.velocity) for f in frames], (-1, 4))
+        # The class's ground truth as (frame, x, y, vx, vy, known) rows, in frame order, and
+        # its predictions in known frames as the same columns (and confidence), in input order.
+        unknown = (math.nan, math.nan)
+        gt = np.reshape([(k, *g.center, *(g.velocity or unknown), g.velocity is not None)
+                         for k, f in enumerate(frames) for g in f.ground_truth
+                         if g.class_name == class_name], (-1, 6))
+        position = {f.frame_id: k for k, f in enumerate(frames)}
+        run_frame = np.array([position.get(f, -1) for f in table.frame_ids], dtype=np.intp)
+        p_frame = np.repeat(run_frame, np.diff(table.offsets))
+        rows = np.flatnonzero((p_frame >= 0) & (table.class_index == (
+            table.classes.index(class_name) if class_name in table.classes else -1)))
+        g_frame, gts = gt[:, 0].astype(np.intp), [*gt[:, 1:5].T, gt[:, 5] == 1.0]
+        p_frame, preds = p_frame[rows], [c[rows] for c in (table.x, table.y, table.vx, table.vy,
+                                                           table.velocity_known, table.confidence)]
 
-        self.n_gt = len(gt_rows)
-        self._gt = _ScoreTerms(gt_rows)
-        self._pred = _ScoreTerms([pred_rows[i] for i in order])
-        self._conf = np.array(conf, dtype=np.float64)[order]
+        def in_range(frame: np.ndarray, columns: Sequence[np.ndarray]) -> np.ndarray:
+            with np.errstate(over="ignore"):
+                distance = _hypot(columns[0] - ego[frame, 0], columns[1] - ego[frame, 1])
+            return np.flatnonzero(distance <= max_range)
+
+        keep = in_range(g_frame, gts)
+        g_frame, gts = g_frame[keep], [c[keep] for c in gts]
+        keep = in_range(p_frame, preds)
+        # By frame, then descending confidence, then input order.
+        keep = keep[np.lexsort((-preds[5][keep], p_frame[keep]))]
+        p_frame, preds, conf = p_frame[keep], [c[keep] for c in preds[:5]], preds[5][keep]
+        matches = self._match(len(frames), (g_frame, *gts[:2]), (p_frame, *preds[:2]), conf)
+        # Frames come in frame_id order, so a stable sort makes the global order.
+        order = np.argsort(-conf, kind="stable")
+
+        self.n_gt = len(g_frame)
+        self._gt = _ScoreTerms(*classify(ego[g_frame].T, gts))
+        self._pred = _ScoreTerms(*(column[order] for column in classify(ego[p_frame].T, preds)))
+        self._conf = conf[order]
         if len(order):
             ends = np.flatnonzero(np.append(np.diff(self._conf) != 0.0, True))
             n_kept, thresholds = ends + 1, self._conf[ends]
@@ -238,7 +269,7 @@ class CurveAccumulator:
         # ground truth each true positive matched, and both counts at each cut.
         self._splits = []
         for match in matches:
-            gt_index = np.frombuffer(match, dtype=np.int64)[order]
+            gt_index = match[order]
             is_tp = gt_index >= 0
             tp_at_cut = np.concatenate(([0], np.cumsum(is_tp)))[n_kept]
             cum_tp = tp_at_cut.astype(np.float64)
@@ -248,6 +279,53 @@ class CurveAccumulator:
                 values.flags.writeable = False
             self._splits.append((np.flatnonzero(is_tp), np.flatnonzero(~is_tp), gt_index[is_tp],
                                  tp_at_cut, n_kept - tp_at_cut, classic))
+
+    def _match(self, n_frames: int, gts: Sequence[np.ndarray], preds: Sequence[np.ndarray],
+               conf: np.ndarray) -> list[np.ndarray]:
+        """The matched ground truth (-1 if none) of each prediction, one array per limit.
+
+        ``gts`` and ``preds`` are ``(frame, x, y)`` columns in frame order. Per
+        frame and limit, ``greedy_assign`` gets only the objects of some pair
+        within the limit, in their order: the others neither claim nor are
+        claimed. Pairs come from one search for x and y differences within the
+        largest limit, as ``hypot`` is never below either leg. Objects within
+        range of a frame's ego differ by at most twice the range: none overflows.
+        """
+        (g_frame, gx, gy), (p_frame, px, py), reach = gts, preds, max(self.dist_limits)
+        bounds = [np.searchsorted(f, np.arange(n_frames + 1)) for f in (g_frame, p_frame)]
+        pairs = [np.zeros((2, 0), dtype=np.intp)]
+        for k in np.flatnonzero((np.diff(bounds[0]) > 0) & (np.diff(bounds[1]) > 0)).tolist():
+            (g0, g1), (p0, p1) = bounds[0][k:k + 2], bounds[1][k:k + 2]
+            near = np.abs(gx[g0:g1, None] - px[p0:p1]) <= reach
+            near &= np.abs(gy[g0:g1, None] - py[p0:p1]) <= reach
+            pairs.append(np.nonzero(near) + np.array([[g0], [p0]]))
+        pair = np.concatenate(pairs, axis=1)
+        dist = _hypot(gx[pair[0]] - px[pair[1]], gy[pair[0]] - py[pair[1]])
+
+        def paired(within: Any = slice(None)) -> list[np.ndarray]:
+            """Per side, the positions of the objects of some pair in ``within``."""
+            return [np.flatnonzero(np.bincount(side[within], minlength=len(x)))
+                    for side, x in zip(pair, (gx, px))]
+
+        # The greedy_assign tuple of each object of some pair, by position.
+        g_used, p_used = paired()
+        g_tuple = dict(zip(g_used.tolist(), zip(gx[g_used].tolist(), gy[g_used].tolist())))
+        p_tuple = dict(zip(p_used.tolist(), zip(px[p_used].tolist(), py[p_used].tolist(),
+                                                conf[p_used].tolist())))
+        matches = []
+        for limit in self.dist_limits:
+            match = np.full(len(px), -1, dtype=np.int64)
+            # Per side, the objects of some pair within the limit, and where each frame's start.
+            (g_used, g_cut), (p_used, p_cut) = ((used.tolist(), np.searchsorted(used, b).tolist())
+                                                for used, b in zip(paired(dist <= limit), bounds))
+            for k in range(n_frames):
+                g_rows, p_rows = g_used[g_cut[k]:g_cut[k + 1]], p_used[p_cut[k]:p_cut[k + 1]]
+                gts, preds = [g_tuple[j] for j in g_rows], [p_tuple[i] for i in p_rows]
+                for i, j in greedy_assign(gts, preds, limit):
+                    if j is not None:
+                        match[p_rows[i]] = g_rows[j]
+            matches.append(match)
+        return matches
 
     def curve_arrays(
         self, cfg: CriticalityConfig, t_values: Sequence[float] | None = None
@@ -501,24 +579,51 @@ def evaluate_detector(
 
 
 _CHUNK_ROWS = 4096
-# A curve point as json.dump(indent=2, sort_keys=True) lays it out at
-# results[i].curve[j], after its line break: keys sorted, each value as float.__repr__ text.
-_JSON_KEYS = sorted(CURVE_FIELDS)
-_JSON_POINT = "\n        {\n%s\n        }" % ",\n".join(f'          "{k}": %s' for k in _JSON_KEYS)
+_CSV_HEADER = b"threshold,precision,recall,p_r,r_s\r\n"
+_CSV_ROW = "%.6f,%.6f,%.6f,%.6f,%.6f\r\n"
 
 
-def _formatted(columns: Sequence[np.ndarray], row: str, sep: str) -> Iterable[str]:
-    """``sep.join(row % values)`` over the rows of ``columns``, a few thousand rows at a time."""
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        block = np.column_stack([c[start:start + _CHUNK_ROWS] for c in columns])
-        yield (sep if start else "") + sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+def _csv_rows(block: np.ndarray) -> bytes:
+    """The ``_CSV_ROW`` text of each row of a ``(rows, 5)`` block.
+
+    For x in [+0.0, 1.0], ``rint(x * 1e6)`` is the integer that ``'%.6f' % x``
+    prints unless the product is a half-integer: multiplication rounds
+    monotonically and half-integers below 2**20 are floats, so the product
+    is on the exact product's side of each of them, or on one. Such a value,
+    and a block holding -0.0, NaN or a value outside [0, 1], is formatted
+    with ``%``.
+    """
+    if not (~np.signbit(block) & (block <= 1.0)).all():
+        return (_CSV_ROW * len(block) % tuple(block.ravel().tolist())).encode()
+    scaled = block * 1e6
+    micros = np.rint(scaled).astype(np.int64)
+    # Each value as "d.dddddd" and a separator: a comma, or the CR of the row's CRLF.
+    text = np.empty((*block.shape, 9), dtype=np.uint8)
+    text[..., 1], text[..., 8], text[:, -1, 8] = ord("."), ord(","), ord("\r")
+    for place in (7, 6, 5, 4, 3, 2, 0):
+        micros, digit = np.divmod(micros, 10)
+        text[..., place] = digit + ord("0")
+    for row, col in zip(*np.nonzero(scaled - np.floor(scaled) == 0.5)):
+        text[row, col, :8] = np.frombuffer(b"%.6f" % block[row, col], dtype=np.uint8)
+    newline = np.full((len(block), 1), ord("\n"), dtype=np.uint8)
+    return np.concatenate((text.reshape(len(block), -1), newline), axis=1).tobytes()
 
 
 def write_curve_csv(arrays: Sequence[np.ndarray], path: str | Path) -> None:
     """One row per operating point of the CURVE_FIELDS arrays, six decimals."""
-    with open(path, "w", newline="") as f:
-        f.write("threshold,precision,recall,p_r,r_s\r\n")
-        f.writelines(_formatted(arrays, "%.6f,%.6f,%.6f,%.6f,%.6f\r\n", ""))
+    with open(path, "wb") as f:
+        f.write(_CSV_HEADER)
+        for start in range(0, len(arrays[0]), _CHUNK_ROWS):
+            f.write(_csv_rows(np.column_stack([a[start:start + _CHUNK_ROWS] for a in arrays])))
+
+
+# A curve point as json.dump(indent=2, sort_keys=True) lays it out at
+# results[i].curve[j], after its line break: keys sorted, each value as float.__repr__ text.
+# Its pieces around the values; the next point follows a comma.
+_JSON_KEYS = sorted(CURVE_FIELDS)
+_JSON_PIECES = ("\n        {\n%s\n        }" % ",\n".join(
+    f'          "{k}": %s' for k in _JSON_KEYS)).split("%s")
+_JSON_NEXT = ["," + _JSON_PIECES[0], *_JSON_PIECES[1:]]
 
 
 def _reprs(values: np.ndarray) -> np.ndarray:
@@ -535,7 +640,13 @@ def _curve_json(arrays: Sequence[np.ndarray], thresholds: list) -> Iterable[str]
     if thresholds[0] is not arrays[0]:
         thresholds[:] = arrays[0], _reprs(arrays[0])
     texts = dict(zip(CURVE_FIELDS[1:], map(_reprs, arrays[1:])), threshold=thresholds[1])
-    yield from _formatted([texts[k] for k in _JSON_KEYS], _JSON_POINT, ",")
+    for start in range(0, len(arrays[0]), _CHUNK_ROWS):
+        values = np.column_stack([texts[k][start:start + _CHUNK_ROWS] for k in _JSON_KEYS])
+        block = np.empty((len(values), 2 * len(_JSON_KEYS) + 1), dtype=object)
+        block[:, 0::2], block[:, 1::2] = _JSON_NEXT, values
+        if not start:
+            block[0, 0] = _JSON_PIECES[0]
+        yield "".join(block.ravel().tolist())
     yield "\n      ]" if len(arrays[0]) else "]"
 
 

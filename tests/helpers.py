@@ -226,6 +226,12 @@ def curve_csv_oracle(curve: list[CurvePoint]) -> bytes:
     return buf.getvalue().encode()
 
 
+def curve_csv_template(arrays) -> bytes:
+    """A curve CSV of the CURVE_FIELDS arrays, each row through one ``%.6f`` template (test oracle)."""
+    rows = "%.6f,%.6f,%.6f,%.6f,%.6f\r\n" * len(arrays[0]) % tuple(np.column_stack(arrays).ravel().tolist())
+    return ("threshold,precision,recall,p_r,r_s\r\n" + rows).encode()
+
+
 def report_json_oracle(report: EvaluationReport) -> bytes:
     """``report.json`` as ``model.dump_json(report.to_dict(), path)`` writes it (test oracle)."""
     return (json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n").encode()

@@ -33,6 +33,10 @@ def test_every_benchmark_hook_resolves_and_measures(monkeypatch):
     n_objects = acc.n_gt + len(acc._conf)
     assert n_objects > 0
 
+    rows = []  # the rows of each classify call
+    classify = metrics.classify
+    monkeypatch.setattr(metrics, "classify",
+                        lambda ego, obj: rows.append(len(obj[0])) or classify(ego, obj))
     tracer = spans.Tracer()
     accumulator_init = metrics.CurveAccumulator.__init__
     with tracer.installed():
@@ -46,7 +50,9 @@ def test_every_benchmark_hook_resolves_and_measures(monkeypatch):
     assert layers["accumulate.calls"] == 2
     assert layers["reweight.calls"] == 2
     assert layers["reweight.elements"] == 2 * n_objects
-    assert layers["classify.calls"] == 2 * n_objects
+    # One ground-truth call and one prediction call per accumulator, each object in one of them.
+    assert layers["classify.calls"] == 2 * 2
+    assert sum(rows) == 2 * n_objects
     assert layers["match.calls"] == 3 * len(dataset.frames)
 
 

@@ -6,19 +6,25 @@ from pathlib import Path
 
 import pytest
 
-from criteval import metrics, model, sweep
+from criteval import metrics, model, sweep, synthgen
 from criteval.cli import main
+from criteval.criticality import CriticalityConfig
+from criteval.matching import distance_limits_default
 from criteval.model import dataset_to_dict, detections_to_dict, dump_json
 from criteval.synthgen import gen_dataset
 
 from helpers import (
+    curve_csv_oracle,
+    curve_csv_template,
     divergence_scenario,
     perfect_detections,
     random_scenario_spec,
+    report_json_oracle,
     sweep_dataset_and_detectors,
 )
 
 DATA = Path(__file__).parent / "data"
+CFG = CriticalityConfig(20.0, 20.0, 8.0)
 
 
 @pytest.fixture()
@@ -74,6 +80,30 @@ def test_evaluate_byte_identical_reruns(synthetic_inputs, tmp_path):
             ((out / "report.json").read_bytes(), (out / "curve_car_l1.csv").read_bytes())
         )
     assert outputs[0] == outputs[1]
+
+
+def test_evaluate_writes_negative_zero_and_one_confidences_as_the_oracles_do(synthetic_inputs,
+                                                                             tmp_path):
+    """A results file may hold a confidence of -0.0: its CSV text is -0.000000, so those
+    curve rows take the % template, while rows of values in [+0.0, 1.0] take digits."""
+    gt, pred = synthetic_inputs
+    data = json.loads(pred.read_text())
+    confidences = [1.0, -0.0, 0.5, -0.0, 0.25]
+    entries = [entry for frame in data["results"].values() for entry in frame]
+    for i, entry in enumerate(entries):
+        entry["confidence"] = confidences[i % len(confidences)]
+    pred.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["evaluate", "--gt", str(gt), "--pred", str(pred),
+                 "--dmax", "20", "--rmax", "20", "--tmax", "8", "--out", str(out)]) == 0
+    report = metrics.evaluate_detector(model.load_ground_truth(gt), model.load_detections(pred),
+                                       "car", distance_limits_default(), CFG)
+    assert (out / "report.json").read_bytes() == report_json_oracle(report)
+    for res in report.results:
+        text = (out / f"curve_car_l{res.distance_limit:g}.csv").read_bytes()
+        assert text == curve_csv_template(res.arrays) == curve_csv_oracle(res.curve)
+        assert b"\r\n1.000000," in text
+        assert text.endswith(b"\r\n-0.000000,1.000000,1.000000,1.000000,1.000000\r\n")
 
 
 def test_evaluate_builds_no_per_point_objects(synthetic_inputs, tmp_path, monkeypatch):
@@ -601,6 +631,21 @@ def test_generate_detector_named_gt_exits_one_and_writes_nothing(tmp_path, capsy
     assert main(["generate", "--spec", str(spec_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: $.detectors.gt: the name is taken by the ground truth, gt.json\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["../esc", "sub/x", "a\\b", "nul\0", "", ".", ".."])
+def test_generate_detector_name_that_is_no_file_name_exits_one_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, name):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"scenario": _SPEC, "detectors": {"a": {}, name: {}}}))
+    drawn = []
+    monkeypatch.setattr(synthgen, "corrupt", lambda *args, **kwargs: drawn.append(args))
+    assert main(["generate", "--spec", str(spec_path), "--out", str(tmp_path / "g")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: $.detectors.{name}: a detector name must be a file name: "
+        "not empty, '.' or '..', and without '/', '\\' or NUL\n")
+    assert drawn == []
+    assert list(tmp_path.iterdir()) == [spec_path]
 
 
 def _run_with_gc(enabled, argv):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from criteval import metrics
+from criteval import criticality, metrics
 from criteval.criticality import (
     CASE_MISSING_VELOCITY,
     CASE_NONFINITE_TIME,
@@ -19,6 +19,7 @@ from criteval.criticality import (
     weights_from_class,
 )
 from criteval.metrics import (
+    CURVE_FIELDS,
     CurveAccumulator,
     CurvePoint,
     EvaluationReport,
@@ -43,6 +44,7 @@ from helpers import (
     classic_pr,
     counts_from_match,
     curve_csv_oracle,
+    curve_csv_template,
     devkit_ap_oracle,
     in_scope,
     make_ego,
@@ -321,7 +323,7 @@ _CLASSIFIED = (
 @settings(max_examples=40, deadline=None)
 def test_batched_kernel_matches_scalar_path(each_case, extra, d_max, r_max, t_values, seed):
     rows = list(each_case) + extra
-    kappa = _ScoreTerms(rows).kappa_rows(d_max, r_max, np.array(t_values))
+    kappa = _ScoreTerms(*map(np.array, zip(*rows))).kappa_rows(d_max, r_max, np.array(t_values))
     for t_max, kappa_row in zip(t_values, kappa):
         cfg = CriticalityConfig(d_max, r_max, t_max)
         assert list(kappa_row) == [weights_from_class(*row, cfg).kappa for row in rows]
@@ -468,16 +470,17 @@ def test_each_object_is_classified_once_whatever_the_limits(monkeypatch):
     expected = sum(in_range(f, state) for f, state in objects)
     assert 0 < expected < len(objects)
 
-    calls = []
+    rows = []  # the rows of each kernel call: one for ground truth, one for predictions
     classify = metrics.classify
-    monkeypatch.setattr(metrics, "classify", lambda ego, obj: calls.append(obj) or classify(ego, obj))
+    monkeypatch.setattr(metrics, "classify",
+                        lambda ego, obj: rows.append(len(obj[0])) or classify(ego, obj))
     for limits in ([1.0], [0.5, 1.0, 2.0, 4.0]):
-        calls.clear()
+        rows.clear()
         evaluate_detector(dataset, detections, "car", limits, CFG)
-        assert len(calls) == expected
-        calls.clear()
+        assert len(rows) == 2 and sum(rows) == expected
+        rows.clear()
         evaluate_sweep(dataset, {"a": detections}, SMALL_GRID, limits, "car")
-        assert len(calls) == expected
+        assert len(rows) == 2 and sum(rows) == expected
 
 
 def test_resample_curve_grid():
@@ -617,3 +620,147 @@ def test_worker_count_env(monkeypatch):
         worker_count()
     monkeypatch.delenv("CRIT_EVAL_THREADS")
     assert worker_count() >= 1
+
+
+# Coordinates and velocities that overflow, cancel exactly or are subnormal, plus any finite float.
+_GEOMETRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -3.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, 1e308]),
+    st.floats(min_value=-100.0, max_value=100.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _ego_and_object(draw):
+    """``(ego, object)`` as ``criticality.classify`` takes them, in every classified situation."""
+    ex, ey, evx, evy = (draw(_GEOMETRY) for _ in range(4))
+    bx, by = draw(_GEOMETRY), draw(_GEOMETRY)
+    kind = draw(st.sampled_from(["any", "missing", "same", "receding", "approaching"]))
+    if kind == "missing":
+        velocity = None
+    elif kind == "same":  # the relative velocity cancels exactly
+        velocity = (evx, evy)
+    elif kind == "any":
+        velocity = (draw(_GEOMETRY), draw(_GEOMETRY))
+    else:  # along the line from ego through the object, away from or towards ego
+        k = draw(st.floats(min_value=0.01, max_value=10.0)) * (1.0 if kind == "receding" else -1.0)
+        velocity = (evx + k * (bx - ex), evy + k * (by - ey))
+    return (ex, ey, (evx, evy)), (bx, by, velocity)
+
+
+_OVERFLOW = ((0.0, 0.0, (0.0, 0.0)), (1e300, 0.0, (-1e-300, 0.0)))  # tests/test_geometry.py
+
+
+@pytest.mark.filterwarnings("error")
+@given(pairs=st.lists(_ego_and_object(), max_size=25),
+       unknown=st.sampled_from([math.nan, math.inf, -1e300]))
+@settings(max_examples=300, deadline=None)
+def test_classify_kernel_equals_the_scalar_classify(pairs, unknown):
+    """Every field of every row, repr for repr, whatever a missing velocity's columns hold."""
+    pairs = [_OVERFLOW, *pairs]
+    ego = np.array([(ex, ey, *v) for (ex, ey, v), _ in pairs]).T
+    obj = [np.array(column) for column in zip(*(
+        (bx, by, *(v or (unknown, unknown)), v is not None) for _, (bx, by, v) in pairs))]
+    got = list(zip(*(column.tolist() for column in metrics.classify(ego, obj))))
+    want = [criticality.classify(e, o) for e, o in pairs]
+    assert list(map(repr, got)) == list(map(repr, want))
+    assert got[0][0] == CASE_NONFINITE_TIME
+
+
+def test_classify_kernel_takes_no_rows():
+    empty = np.zeros(0)
+    columns = metrics.classify([empty] * 4, [empty] * 4 + [np.zeros(0, dtype=bool)])
+    assert [len(column) for column in columns] == [0] * 4
+
+
+# A coarse grid: duplicate centers and equal distances are common; differences may overflow.
+_SPOT = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 3.0, 49.0, 60.0, 1e308, -1e308])
+
+
+@st.composite
+def _matching_scene(draw):
+    """Frames with ground truth and predictions on a coarse grid, some in frames the
+    ground truth lacks, some of another class or beyond the range."""
+    frames, detections = [], []
+    for k in range(draw(st.integers(min_value=0, max_value=4))):
+        objects = [make_state(object_id=f"g{j}", class_name=draw(st.sampled_from(["car", "car", "ped"])),
+                              center=(draw(_SPOT), draw(_SPOT)))
+                   for j in range(draw(st.integers(min_value=0, max_value=6)))]
+        frames.append(make_frame(f"f{k}", float(k), make_ego(), objects))
+    frame_ids = [f.frame_id for f in frames] + ["unknown"]
+    for i in range(draw(st.integers(min_value=0, max_value=14))):
+        state = make_state(object_id=f"p{i}", class_name=draw(st.sampled_from(["car", "car", "ped"])),
+                           center=(draw(_SPOT), draw(_SPOT)))
+        detections.append(Detection(draw(st.sampled_from(frame_ids)), state,
+                                    draw(st.sampled_from([0.2, 0.5, 0.5, 0.9, 1.0]))))
+    # Sorted frame_ids differ from input order when some frame holds no detection.
+    draw(st.randoms()).shuffle(detections)
+    return Dataset(frames=frames), detections
+
+
+@pytest.mark.filterwarnings("error")
+@given(scene=_matching_scene(),
+       limits=st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 4.0, 100.0]), min_size=1,
+                       max_size=4, unique=True))
+@settings(max_examples=300, deadline=None)
+def test_accumulator_matches_equal_unfiltered_greedy_assign(scene, limits):
+    """Each limit's match of every prediction, against ``greedy_assign`` on whole frames."""
+    dataset, detections = scene
+    acc = CurveAccumulator(dataset, detections, "car", limits)
+    gt_ids, preds, want = [], [], {limit: {} for limit in limits}
+    for frame in sorted(dataset.frames, key=lambda f: f.frame_id):
+        gts, dets = in_scope(frame, detections, "car", metrics.DEFAULT_EVAL_RANGE)
+        gt_ids += [(frame.frame_id, g.object_id) for g in gts]
+        preds += sorted(dets, key=lambda d: -d.confidence)
+        for limit in limits:
+            for gt, pred in match_frame(gts, dets, limit, 0.0).tp:
+                want[limit][pred.object_id] = (frame.frame_id, gt.object_id)
+    preds.sort(key=lambda d: -d.confidence)  # stable: frame order, then within-frame order
+    assert acc._conf.tolist() == [d.confidence for d in preds]
+    assert acc.n_gt == len(gt_ids)
+    for limit, (tp, _, tp_gt, *_) in zip(limits, acc._splits, strict=True):
+        got = {preds[i].state.object_id: gt_ids[j] for i, j in zip(tp.tolist(), tp_gt.tolist())}
+        assert got == want[limit]
+
+
+# (k + 0.5) / 1e6: the six-decimal rounding boundaries, which binary floats straddle.
+_DECIMAL_HALVES = st.integers(min_value=0, max_value=999_999).map(lambda k: (k + 0.5) / 1e6)
+
+
+_TIE = 0.0078125  # 1/128: times 1e6 exactly 7812.5
+_CSV_VALUES = st.one_of(
+    st.sampled_from([_TIE, math.nextafter(_TIE, 0.0), math.nextafter(_TIE, 1.0), 0.0, 5e-324,
+                     2.5e-06, 0.9999995, math.nextafter(1.0, 0.0), 1.0]),
+    _DECIMAL_HALVES,
+    st.floats(min_value=0.0, max_value=1.0),
+)
+_CSV_OUTLIERS = st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1.5, -1e-9, 1.0000000000000002])
+
+
+@given(data=st.data(), n=st.integers(min_value=0, max_value=12),
+       chunk_rows=st.integers(min_value=1, max_value=5), outliers=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_curve_csv_digits_equal_the_percent_template(tmp_path_factory, data, n, chunk_rows, outliers):
+    """In-range chunks by digits, ties and chunks with -0.0, NaN or a value outside [0, 1] by %."""
+    values = _CSV_VALUES | _CSV_OUTLIERS if outliers else _CSV_VALUES
+    arrays = [np.array(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+              for _ in CURVE_FIELDS]
+    path = tmp_path_factory.mktemp("csv") / "curve.csv"
+    saved, metrics._CHUNK_ROWS = metrics._CHUNK_ROWS, chunk_rows
+    try:
+        write_curve_csv(arrays, path)
+    finally:
+        metrics._CHUNK_ROWS = saved
+    assert path.read_bytes() == curve_csv_template(arrays)
+
+
+def test_curve_csv_digits_at_every_rounding_boundary(tmp_path):
+    """(k + 0.5) / 1e6 for every 61st k, every k / 128 in [0, 1], and both neighbours of each."""
+    halves = (np.arange(0, 1_000_000, 61) + 0.5) / 1e6
+    ties = np.arange(129) / 128.0
+    points = np.concatenate([halves, ties])
+    values = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    values = values[values <= 1.0]
+    arrays = [np.roll(values, shift)[: len(values) // 5 * 5] for shift in range(5)]
+    write_curve_csv(arrays, tmp_path / "curve.csv")
+    assert (tmp_path / "curve.csv").read_bytes() == curve_csv_template(arrays)
