@@ -67,7 +67,9 @@ def _require_class(dataset: model.Dataset, tables: list[model.DetectionTable],
 
 
 def _curve_files(class_name: str, limits: Sequence[float]) -> dict[float, str]:
-    """The curve CSV name of each limit; two limits may not share one."""
+    """The curve CSV name of each limit, for a class without '/' or '\\'; no two limits share one."""
+    if any(c in class_name for c in "/\\"):
+        raise ValueError(f"--class {class_name!r} names the curve files: it must hold no '/' or '\\'")
     files: dict[float, str] = {}
     first: dict[str, float] = {}
     for limit in limits:

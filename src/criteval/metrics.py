@@ -284,46 +284,32 @@ class CurveAccumulator:
                conf: np.ndarray) -> list[np.ndarray]:
         """The matched ground truth (-1 if none) of each prediction, one array per limit.
 
-        ``gts`` and ``preds`` are ``(frame, x, y)`` columns in frame order. Per
-        frame and limit, ``greedy_assign`` gets only the objects of some pair
-        within the limit, in their order: the others neither claim nor are
-        claimed. Pairs come from one search for x and y differences within the
-        largest limit, as ``hypot`` is never below either leg. Objects within
-        range of a frame's ego differ by at most twice the range: none overflows.
+        ``gts`` and ``preds`` are ``(frame, x, y)`` columns in frame order. Per frame and
+        limit, ``greedy_assign`` gets the objects whose gap, the least ``max(|dx|, |dy|)``
+        to an object of the other side in their frame, is within the limit, in their order:
+        ``hypot`` is never below either leg, so the others neither claim nor are claimed.
         """
-        (g_frame, gx, gy), (p_frame, px, py), reach = gts, preds, max(self.dist_limits)
+        (g_frame, gx, gy), (p_frame, px, py) = gts, preds
         bounds = [np.searchsorted(f, np.arange(n_frames + 1)) for f in (g_frame, p_frame)]
-        pairs = [np.zeros((2, 0), dtype=np.intp)]
-        for k in np.flatnonzero((np.diff(bounds[0]) > 0) & (np.diff(bounds[1]) > 0)).tolist():
-            (g0, g1), (p0, p1) = bounds[0][k:k + 2], bounds[1][k:k + 2]
-            near = np.abs(gx[g0:g1, None] - px[p0:p1]) <= reach
-            near &= np.abs(gy[g0:g1, None] - py[p0:p1]) <= reach
-            pairs.append(np.nonzero(near) + np.array([[g0], [p0]]))
-        pair = np.concatenate(pairs, axis=1)
-        dist = _hypot(gx[pair[0]] - px[pair[1]], gy[pair[0]] - py[pair[1]])
-
-        def paired(within: Any = slice(None)) -> list[np.ndarray]:
-            """Per side, the positions of the objects of some pair in ``within``."""
-            return [np.flatnonzero(np.bincount(side[within], minlength=len(x)))
-                    for side, x in zip(pair, (gx, px))]
-
-        # The greedy_assign tuple of each object of some pair, by position.
-        g_used, p_used = paired()
-        g_tuple = dict(zip(g_used.tolist(), zip(gx[g_used].tolist(), gy[g_used].tolist())))
-        p_tuple = dict(zip(p_used.tolist(), zip(px[p_used].tolist(), py[p_used].tolist(),
-                                                conf[p_used].tolist())))
+        gaps = [np.full(len(gx), np.inf), np.full(len(px), np.inf)]
+        with np.errstate(over="ignore"):  # a leg that overflows is inf, as its hypot is
+            for k in np.flatnonzero((np.diff(bounds[0]) > 0) & (np.diff(bounds[1]) > 0)).tolist():
+                g, p = slice(*bounds[0][k:k + 2]), slice(*bounds[1][k:k + 2])
+                gap = np.maximum(np.abs(gx[g, None] - px[p]), np.abs(gy[g, None] - py[p]))
+                gaps[0][g], gaps[1][p] = gap.min(axis=1), gap.min(axis=0)
         matches = []
         for limit in self.dist_limits:
             match = np.full(len(px), -1, dtype=np.int64)
-            # Per side, the objects of some pair within the limit, and where each frame's start.
-            (g_used, g_cut), (p_used, p_cut) = ((used.tolist(), np.searchsorted(used, b).tolist())
-                                                for used, b in zip(paired(dist <= limit), bounds))
+            g_used, p_used = (np.flatnonzero(side <= limit) for side in gaps)
+            g_cut, p_cut = (np.searchsorted(u, b).tolist() for u, b in zip((g_used, p_used), bounds))
+            gts = list(zip(gx[g_used].tolist(), gy[g_used].tolist()))
+            preds = list(zip(px[p_used].tolist(), py[p_used].tolist(), conf[p_used].tolist()))
+            g_used, p_used = g_used.tolist(), p_used.tolist()
             for k in range(n_frames):
-                g_rows, p_rows = g_used[g_cut[k]:g_cut[k + 1]], p_used[p_cut[k]:p_cut[k + 1]]
-                gts, preds = [g_tuple[j] for j in g_rows], [p_tuple[i] for i in p_rows]
-                for i, j in greedy_assign(gts, preds, limit):
+                (g0, g1), (p0, p1) = g_cut[k:k + 2], p_cut[k:k + 2]
+                for i, j in greedy_assign(gts[g0:g1], preds[p0:p1], limit):
                     if j is not None:
-                        match[p_rows[i]] = g_rows[j]
+                        match[p_used[p0 + i]] = g_used[g0 + j]
             matches.append(match)
         return matches
 

@@ -119,6 +119,8 @@ def render_birdview(
     weight: str = "kappa",
 ) -> str:
     """SVG text for one frame; ``weight`` selects the label value."""
+    # Here, not at the top: the module imports urllib.request, which would slow every command.
+    from xml.sax.saxutils import escape
     if weight not in WEIGHT_NAMES:
         raise ValueError(f"weight must be one of {WEIGHT_NAMES}, got {weight!r}")
     view = _ViewTransform(frame.ego)
@@ -135,7 +137,7 @@ def render_birdview(
     )
     parts.append(
         f'<text x="{_fmt(_MARGIN_PX)}" y="{_fmt(_MARGIN_PX - 6.0)}" font-size="11" '
-        f'font-family="monospace" fill="#222222">{header}</text>'
+        f'font-family="monospace" fill="#222222">{escape(header)}</text>'
     )
     parts.extend(_box_svg(frame.ego, view, _EGO_COLOR, "ego"))
     for gt in frame.ground_truth:

@@ -878,6 +878,20 @@ def test_limits_that_share_a_curve_file_exit_one(synthetic_inputs, tmp_path, cap
                                                            "curve_car_l1.csv"]
 
 
+@pytest.mark.parametrize("class_name", ["veh/car", "veh\\car", "../car"])
+def test_class_with_a_path_separator_exits_one_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                                   class_name):
+    """The class is part of each curve file name, so it is checked before any data file."""
+    monkeypatch.setattr(model, "load_ground_truth", _read_no_data)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["evaluate", "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "a.json"),
+                 *_CAPS, "--class", class_name, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --class {class_name!r} names the curve files: it must hold no '/' or '\\'\n")
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, args", [("evaluate", _CAPS), ("sweep", [])])
 def test_workers_option_is_rejected(tmp_path, monkeypatch, command, args):
     monkeypatch.setattr(model, "load_ground_truth", _read_no_data)

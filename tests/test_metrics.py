@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from criteval import criticality, metrics
@@ -698,10 +698,29 @@ def _matching_scene(draw):
     return Dataset(frames=frames), detections
 
 
+def _boundary_scene(limit):
+    """One prediction at the origin per frame with a ground truth at (limit, 0), which
+    matches, at (limit, limit), whose gap is the limit but not its distance, and at
+    (nextafter(limit, inf), 0); then a ground truth and a prediction, each alone in its frame."""
+    offsets = [(limit, 0.0), (limit, limit), (math.nextafter(limit, math.inf), 0.0)]
+    frames = [make_frame(f"f{k}", float(k), make_ego(), [make_state(f"g{k}", center=offset)])
+              for k, offset in enumerate(offsets)]
+    frames.append(make_frame("f3", 3.0, make_ego(), [make_state("g3")]))
+    frames.append(make_frame("f4", 4.0, make_ego(), []))
+    detections = [Detection(f"f{k}", make_state(f"p{k}"), 0.9) for k in (0, 1, 2, 4)]
+    return Dataset(frames=frames), detections
+
+
 @pytest.mark.filterwarnings("error")
 @given(scene=_matching_scene(),
        limits=st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 4.0, 100.0]), min_size=1,
                        max_size=4, unique=True))
+@example(scene=_boundary_scene(0.25), limits=[0.25])
+@example(scene=_boundary_scene(0.5), limits=[0.5])
+@example(scene=_boundary_scene(1.0), limits=[1.0])
+@example(scene=_boundary_scene(1.5), limits=[1.5])
+@example(scene=_boundary_scene(2.0), limits=[2.0])
+@example(scene=_boundary_scene(4.0), limits=[4.0])
 @settings(max_examples=300, deadline=None)
 def test_accumulator_matches_equal_unfiltered_greedy_assign(scene, limits):
     """Each limit's match of every prediction, against ``greedy_assign`` on whole frames."""
@@ -721,6 +740,15 @@ def test_accumulator_matches_equal_unfiltered_greedy_assign(scene, limits):
     for limit, (tp, _, tp_gt, *_) in zip(limits, acc._splits, strict=True):
         got = {preds[i].state.object_id: gt_ids[j] for i, j in zip(tp.tolist(), tp_gt.tolist())}
         assert got == want[limit]
+
+
+@pytest.mark.filterwarnings("error")
+def test_accumulator_matches_quietly_where_a_difference_overflows():
+    """Within a range near the largest float, two objects' x may differ by more than it."""
+    frame = make_frame("f0", 0.0, make_ego(), [make_state("g", center=(1e308, 0.0))])
+    detections = [Detection("f0", make_state("p", center=(-1e308, 0.0)), 0.9)]
+    acc = CurveAccumulator(Dataset(frames=[frame]), detections, "car", [1.0], max_range=1.7e308)
+    assert acc.n_gt == 1 and acc._splits[0][2].tolist() == []
 
 
 # (k + 0.5) / 1e6: the six-decimal rounding boundaries, which binary floats straddle.

@@ -1,7 +1,9 @@
 """Bird-view SVG rendering."""
 
+import dataclasses
 import re
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
@@ -75,3 +77,12 @@ def test_matches_committed_golden(headon):
     frame, detections = headon
     golden = (DATA / "birdview_golden_kappa.svg").read_text()
     assert render_birdview(frame, detections, CFG, "kappa") == golden
+
+
+@pytest.mark.parametrize("frame_id", ["f<0>&", "a]]>b", "'q\""])
+def test_frame_id_is_escaped_in_well_formed_svg(headon, frame_id):
+    frame, detections = headon
+    svg = render_birdview(dataclasses.replace(frame, frame_id=frame_id), detections, CFG)
+    header = next(node for node in minidom.parseString(svg).getElementsByTagName("text")
+                  if node.getAttribute("font-size") == "11")
+    assert header.firstChild.data.startswith(f"frame {frame_id} | weight kappa | ")
