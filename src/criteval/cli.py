@@ -208,7 +208,7 @@ def _cmd_birdview(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(svg)
+    out.write_text(svg, encoding="utf-8")
     print(f"bird view written to {out}")
     return 0
 

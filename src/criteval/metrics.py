@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from .criticality import (
     CriticalityConfig,
 )
 from .matching import greedy_assign
-from .model import Dataset, Detection, DetectionTable, ingest_summary, json_pieces
+from . import model
+from .model import Dataset, Detection, DetectionTable, ingest_summary
 
 DEFAULT_EVAL_RANGE = 50.0
 AP_MIN_RECALL = 0.1
@@ -603,37 +604,12 @@ def write_curve_csv(arrays: Sequence[np.ndarray], path: str | Path) -> None:
             f.write(_csv_rows(np.column_stack([a[start:start + _CHUNK_ROWS] for a in arrays])))
 
 
-# A curve point as json.dump(indent=2, sort_keys=True) lays it out at
-# results[i].curve[j], after its line break: keys sorted, each value as float.__repr__ text.
-# Its pieces around the values; the next point follows a comma.
-_JSON_KEYS = sorted(CURVE_FIELDS)
-_JSON_PIECES = ("\n        {\n%s\n        }" % ",\n".join(
-    f'          "{k}": %s' for k in _JSON_KEYS)).split("%s")
-_JSON_NEXT = ["," + _JSON_PIECES[0], *_JSON_PIECES[1:]]
-
-
 def _reprs(values: np.ndarray) -> np.ndarray:
     """``repr`` of each value, as an object array; called once per run of bit-identical values."""
     bits = values.view(np.int64)  # unlike ==, tells 0.0 from -0.0
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1]))[:len(bits)])
     texts = np.array(list(map(repr, values[starts].tolist())), dtype=object)
     return np.repeat(texts, np.diff(starts, append=len(bits)))
-
-
-def _curve_json(arrays: Sequence[np.ndarray], thresholds: list) -> Iterable[str]:
-    """A curve's JSON text; ``thresholds`` holds the last threshold array and its text."""
-    yield "["
-    if thresholds[0] is not arrays[0]:
-        thresholds[:] = arrays[0], _reprs(arrays[0])
-    texts = dict(zip(CURVE_FIELDS[1:], map(_reprs, arrays[1:])), threshold=thresholds[1])
-    for start in range(0, len(arrays[0]), _CHUNK_ROWS):
-        values = np.column_stack([texts[k][start:start + _CHUNK_ROWS] for k in _JSON_KEYS])
-        block = np.empty((len(values), 2 * len(_JSON_KEYS) + 1), dtype=object)
-        block[:, 0::2], block[:, 1::2] = _JSON_NEXT, values
-        if not start:
-            block[0, 0] = _JSON_PIECES[0]
-        yield "".join(block.ravel().tolist())
-    yield "\n      ]" if len(arrays[0]) else "]"
 
 
 def write_report_json(report: EvaluationReport, path: str | Path) -> None:
@@ -643,6 +619,13 @@ def write_report_json(report: EvaluationReport, path: str | Path) -> None:
     limits of a report share one threshold array, whose text is built once.
     """
     thresholds: list = [None, None]
-    with open(path, "w") as f:
-        f.writelines(json_pieces(report._as_dict([None] * len(report.results)), "curve",
-                                 (_curve_json(res.arrays, thresholds) for res in report.results)))
+
+    def rows(arrays: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+        if thresholds[0] is not arrays[0]:
+            thresholds[:] = arrays[0], _reprs(arrays[0])
+        texts = dict(zip(CURVE_FIELDS[1:], map(_reprs, arrays[1:])), threshold=thresholds[1])
+        for start in range(0, len(arrays[0]), _CHUNK_ROWS):
+            yield np.column_stack([texts[k][start:start + _CHUNK_ROWS] for k in sorted(texts)])
+
+    model.dump_json(report._as_dict([None] * len(report.results)), path, "curve",
+                    (model.json_records(CURVE_FIELDS, rows(res.arrays), 8) for res in report.results))

@@ -461,27 +461,39 @@ def detections_to_dict(detections: Iterable[Detection]) -> dict[str, Any]:
     return {"results": results}
 
 
-def json_pieces(data: Any, key: str, fills: Iterable[Iterable[str]]) -> Iterator[str]:
-    """``dump_json``'s text of ``data``, the value of its n-th ``"key": null`` the n-th fill's
-    pieces. Only such a value is an unquoted ``"key": null``: ``json`` escapes ``"`` in strings."""
-    head, *rests = json.dumps(data, indent=2, sort_keys=True).split(f'"{key}": null')
-    yield head
-    for fill, rest in zip(fills, rests):
-        yield f'"{key}": '
-        yield from fill
-        yield rest
-    yield "\n"
+def json_records(keys: Iterable[str], chunks: Iterable[Any], indent: int) -> Iterator[str]:
+    """``json.dumps(indent=2, sort_keys=True)``'s text of a list of flat objects whose items sit
+    ``indent`` spaces deep. Each chunk holds rows of value texts, one per key in sorted order."""
+    pad = "\n" + " " * indent
+    fields = ",".join(f'{pad}  "{k}": %s' for k in sorted(keys))
+    pieces = f",{pad}{{{fields}{pad}}}".split("%s")
+    yield "["
+    lead = 1  # the first item has no comma before it
+    for chunk in chunks:
+        if len(chunk):
+            block = np.empty((len(chunk), 2 * len(pieces) - 1), dtype=object)
+            block[:, 0::2], block[:, 1::2] = pieces, chunk
+            yield "".join(block.ravel().tolist())[lead:]
+            lead = 0
+    yield "]" if lead else pad[:-2] + "]"
 
 
 def dump_json(data: Any, path: str | Path, key: str | None = None,
               fills: Iterable[Iterable[str]] = ()) -> None:
-    """Write JSON with a byte-deterministic layout; with ``key``, as ``json_pieces``."""
+    """Write JSON with a byte-deterministic layout. With ``key``, the value of the n-th
+    ``"key": null`` is the n-th fill's pieces; only such a value is an unquoted
+    ``"key": null``, as ``json`` escapes ``"`` in strings."""
     with open(path, "w") as f:
         if key is None:
             json.dump(data, f, indent=2, sort_keys=True)
-            f.write("\n")
         else:
-            f.writelines(json_pieces(data, key, fills))
+            head, *rests = json.dumps(data, indent=2, sort_keys=True).split(f'"{key}": null')
+            f.write(head)
+            for fill, rest in zip(fills, rests):
+                f.write(f'"{key}": ')
+                f.writelines(fill)
+                f.write(rest)
+        f.write("\n")
 
 
 # ---------------------------------------------------------------------------

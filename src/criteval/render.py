@@ -12,6 +12,7 @@ the renderer has no math of its own.
 from __future__ import annotations
 
 import math
+import re
 from typing import Iterable
 
 from .criticality import CriticalityConfig, criticality_components
@@ -28,6 +29,8 @@ _SCALE = _PLOT_PX / _VIEW_METERS
 _GT_COLOR = "green"
 _PRED_COLOR = "blue"
 _EGO_COLOR = "#333333"
+# What XML 1.0 cannot hold even as a reference; the header writes it as a backslash escape.
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _fmt(value: float) -> str:
@@ -137,7 +140,8 @@ def render_birdview(
     )
     parts.append(
         f'<text x="{_fmt(_MARGIN_PX)}" y="{_fmt(_MARGIN_PX - 6.0)}" font-size="11" '
-        f'font-family="monospace" fill="#222222">{escape(header)}</text>'
+        f'font-family="monospace" fill="#222222">'
+        f'{escape(_NOT_XML.sub(lambda m: m[0].encode("unicode_escape").decode(), header))}</text>'
     )
     parts.extend(_box_svg(frame.ego, view, _EGO_COLOR, "ego"))
     for gt in frame.ground_truth:

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .criticality import CriticalityConfig
 from .metrics import DEFAULT_EVAL_RANGE, CurveAccumulator, ap_from_arrays, ap_function
@@ -29,6 +29,7 @@ from . import model
 from .model import Dataset, Detection, IngestError
 
 SWEEP_CSV_HEADER = ["detector", "class", "l", "d_max", "r_max", "t_max", "ap", "ap_crit"]
+_RANKING_ROWS = 256  # rankings.json entries formatted at a time
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,8 @@ def ranking_diff(order_a: Sequence[str], order_b: Sequence[str]) -> tuple[int, i
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
+    """UTF-8 whatever the locale; a command-line name's undecodable bytes are written as they came."""
+    with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as f:
         writer = csv.writer(f)
         writer.writerow(SWEEP_CSV_HEADER)
         for r in rows:
@@ -224,27 +226,20 @@ def rankings_report(rows: Sequence[SweepRow], dist_limits: Sequence[float]) -> d
     }
 
 
-# A per_config entry as json.dump(indent=2, sort_keys=True) lays it out, after its line break.
-_CONFIG_JSON = "\n    {\n%s\n    }" % ",\n".join(f'      "{k}": %s' for k in (
-    "d_max", "l", "max_displacement", "n_moved", "order_ap", "order_ap_crit", "r_max", "t_max"))
-
-
 def write_rankings_json(report: Mapping[str, Any], path: str | Path) -> None:
     """``model.dump_json(report, path)`` byte for byte for a ``rankings_report``, streamed.
 
-    Each per_config entry fills one template; each distinct detector order is encoded once.
+    Each distinct detector order is encoded once.
     """
     num = lambda v: repr(v) if type(v) is float and math.isfinite(v) else json.dumps(v)
     orders: dict[tuple[str, ...], str] = {}
     order = lambda names: orders.get(tuple(names)) or orders.setdefault(
         tuple(names), json.dumps(names, indent=2).replace("\n", "\n      "))
-
-    def per_config() -> Iterator[str]:
-        yield "["
-        for i, c in enumerate(report["per_config"]):
-            yield ("," if i else "") + _CONFIG_JSON % (
-                num(c["d_max"]), num(c["l"]), c["max_displacement"], c["n_moved"],
-                order(c["order_ap"]), order(c["order_ap_crit"]), num(c["r_max"]), num(c["t_max"]))
-        yield "\n  ]" if report["per_config"] else "]"
-
-    model.dump_json({**report, "per_config": None}, path, "per_config", [per_config()])
+    entries = report["per_config"]
+    rows = ([(num(c["d_max"]), num(c["l"]), str(c["max_displacement"]), str(c["n_moved"]),
+              order(c["order_ap"]), order(c["order_ap_crit"]), num(c["r_max"]), num(c["t_max"]))
+             for c in entries[start:start + _RANKING_ROWS]]
+            for start in range(0, len(entries), _RANKING_ROWS))
+    keys = "d_max", "l", "max_displacement", "n_moved", "order_ap", "order_ap_crit", "r_max", "t_max"
+    model.dump_json({**report, "per_config": None}, path, "per_config",
+                    [model.json_records(keys, rows, 4)])

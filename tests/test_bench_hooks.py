@@ -98,3 +98,26 @@ def test_sweep_outputs_stay_in_the_write_layer(monkeypatch, tmp_path):
     assert layers["write.calls"] == 2
     written = sum(path.stat().st_size for path in (out / "sweep.csv", out / "rankings.json"))
     assert layers["write.mb"] == written / 1e6
+
+
+def test_evaluate_outputs_stay_in_the_write_layer(monkeypatch, tmp_path):
+    """``report.json`` and each curve CSV are one write call apiece, with their bytes counted."""
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    dataset = gen_dataset(random_scenario_spec(seed=8, n_frames=4))
+    dump_json(dataset_to_dict(dataset), tmp_path / "gt.json")
+    dump_json(detections_to_dict(perfect_detections(dataset, 0.8)), tmp_path / "a.json")
+    out = tmp_path / "out"
+    limits = ["0.5", "1", "2"]
+    tracer = spans.Tracer()
+    with tracer.installed():
+        assert main(["evaluate", "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "a.json"),
+                     "--dmax", "20", "--rmax", "20", "--tmax", "8", "--dist-limits", ",".join(limits),
+                     "--out", str(out)]) == 0
+    layers = spans.layer_metrics([dict(zip(spans.SPAN_FIELDS, s)) for s in tracer.spans])
+    assert layers["write.calls"] == 1 + len(limits)
+    written = sorted(out.iterdir())
+    assert len(written) == 1 + len(limits)
+    assert layers["write.mb"] == sum(path.stat().st_size for path in written) / 1e6

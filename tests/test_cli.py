@@ -2,6 +2,9 @@
 
 import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,13 +110,22 @@ def test_evaluate_writes_negative_zero_and_one_confidences_as_the_oracles_do(syn
 
 
 def test_evaluate_builds_no_per_point_objects(synthetic_inputs, tmp_path, monkeypatch):
-    """The CLI streams curves from the kernel arrays: no CurvePoint, no curve dicts, no json.dump."""
+    """The CLI streams curves from the kernel arrays: no CurvePoint, no curve dicts, and no
+    curve data through ``json``."""
     def forbidden(*args, **kwargs):
         raise AssertionError("per-point work on the evaluate path")
 
+    dumps = json.dumps
+
+    def curveless_dumps(obj, *args, **kwargs):
+        for res in obj.get("results", []) if isinstance(obj, dict) else []:
+            assert res["curve"] is None, "curve data through json.dumps"
+        return dumps(obj, *args, **kwargs)
+
     monkeypatch.setattr(metrics, "CurvePoint", forbidden)
     monkeypatch.setattr(metrics.EvaluationReport, "to_dict", forbidden)
-    monkeypatch.setattr(model, "dump_json", forbidden)
+    monkeypatch.setattr(json, "dump", forbidden)
+    monkeypatch.setattr(json, "dumps", curveless_dumps)
     gt, pred = synthetic_inputs
     out = tmp_path / "out"
     assert main(["evaluate", "--gt", str(gt), "--pred", str(pred),
@@ -215,6 +227,21 @@ def test_sweep_rank_round_trip(synthetic_inputs, tmp_path, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "1. copy" in stdout and "2. ideal" in stdout  # tie broken by name
+
+
+def test_sweep_writes_utf8_under_an_ascii_locale(synthetic_inputs, tmp_path):
+    """``sweep.csv`` is UTF-8 whatever the locale, as ``read_sweep_csv`` reads it."""
+    gt, pred = synthetic_inputs
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"d_values": [10], "r_values": [20], "t_values": [8]}')
+    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+           "PYTHONPATH": str(Path(model.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from criteval.cli import main; sys.exit(main(sys.argv[1:]))",
+         "sweep", "--gt", str(gt), "--pred", f"\u8eca={pred}", "--grid", str(grid),
+         "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert {row.detector for row in sweep.read_sweep_csv(tmp_path / "out" / "sweep.csv")} == {"\u8eca"}
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])

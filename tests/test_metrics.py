@@ -574,7 +574,18 @@ def run_reports(draw):
                             {"n_frames": 1})
 
 
+def _report_of_length(n):
+    """A two-limit report whose curves have ``n`` points each."""
+    thresholds = np.linspace(1.0, 0.0, n)
+    results = [LimitResult(limit, 0.5, 0.25, (thresholds, *np.linspace(0.0, 1.0, 4 * n).reshape(4, n)),
+                           {"step": 0.01}) for limit in (1.0, 2.0)]
+    return EvaluationReport("car", CriticalityConfig(20.0, 20.0, 8.0), "paper", 50.0, results,
+                            {"n_frames": 1})
+
+
 @given(report=run_reports(), chunk_rows=st.integers(min_value=1, max_value=4))
+@example(report=_report_of_length(0), chunk_rows=2)
+@example(report=_report_of_length(6), chunk_rows=3)  # ends on a chunk boundary
 @settings(max_examples=150, deadline=None)
 def test_report_writer_formats_runs_of_equal_values_exactly(tmp_path_factory, report, chunk_rows):
     """Each run of bit-identical values is formatted once: 0.0 next to -0.0 is two runs,

@@ -7,8 +7,9 @@ from xml.dom import minidom
 
 import pytest
 
+from criteval.cli import main
 from criteval.criticality import CriticalityConfig, criticality_components
-from criteval.model import load_detections, load_ground_truth
+from criteval.model import Dataset, dataset_to_dict, dump_json, load_detections, load_ground_truth
 from criteval.render import render_birdview
 
 DATA = Path(__file__).parent / "data"
@@ -79,10 +80,19 @@ def test_matches_committed_golden(headon):
     assert render_birdview(frame, detections, CFG, "kappa") == golden
 
 
-@pytest.mark.parametrize("frame_id", ["f<0>&", "a]]>b", "'q\""])
-def test_frame_id_is_escaped_in_well_formed_svg(headon, frame_id):
-    frame, detections = headon
-    svg = render_birdview(dataclasses.replace(frame, frame_id=frame_id), detections, CFG)
-    header = next(node for node in minidom.parseString(svg).getElementsByTagName("text")
+# Frame ids and the header text they show. What XML 1.0 cannot hold shows as its backslash escape.
+FRAME_IDS = [("f<0>&", "f<0>&"), ("a]]>b", "a]]>b"), ("'q\"", "'q\""),
+             ("f\u0001", "f\\x01"), ("f\ud800", "f\\ud800"), ("f\ufffe", "f\\ufffe")]
+
+
+@pytest.mark.parametrize("frame_id, shown", FRAME_IDS, ids=[frame_id for frame_id, _ in FRAME_IDS])
+def test_frame_id_is_escaped_in_well_formed_svg(headon, tmp_path, frame_id, shown):
+    frame, _ = headon
+    gt = tmp_path / "gt.json"
+    dump_json(dataset_to_dict(Dataset([dataclasses.replace(frame, frame_id=frame_id)])), gt)
+    out = tmp_path / "view.svg"
+    assert main(["birdview", "--gt", str(gt), "--frame", frame_id, "--dmax", "30", "--rmax", "20",
+                 "--tmax", "8", "--out", str(out)]) == 0
+    header = next(node for node in minidom.parse(str(out)).getElementsByTagName("text")
                   if node.getAttribute("font-size") == "11")
-    assert header.firstChild.data.startswith(f"frame {frame_id} | weight kappa | ")
+    assert header.firstChild.data.startswith(f"frame {shown} | weight kappa | ")

@@ -5,7 +5,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from criteval import sweep
@@ -223,15 +223,23 @@ _NAMES = st.sampled_from(['q"uote', "back\\slash", "\u00e9t\u00e9", "\u8eca", "a
 @given(names=st.lists(_NAMES, min_size=1, max_size=4, unique=True),
        limits=st.lists(_CAPS, min_size=1, max_size=3, unique=True),
        configs=st.lists(st.tuples(_CAPS, _CAPS, _CAPS), min_size=1, max_size=3, unique=True),
-       data=st.data())
+       data=st.data(), chunk_rows=st.integers(min_value=1, max_value=4))
+@example(names=[], limits=[1.0, 2.0], configs=[(20.0, 20.0, 8.0)], data=None,
+         chunk_rows=1)  # no row at all
 @settings(max_examples=100, deadline=None)
-def test_streamed_rankings_json_equals_dump_json(tmp_path_factory, names, limits, configs, data):
+def test_streamed_rankings_json_equals_dump_json(tmp_path_factory, names, limits, configs, data,
+                                                 chunk_rows):
+    """Entries are formatted ``chunk_rows`` at a time, so they cross chunk boundaries."""
     scores = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
     rows = [SweepRow(name, "car", limit, *config, data.draw(scores), data.draw(scores))
             for name in names for limit in limits for config in configs]
     report = rankings_report(rows, limits)
     out = tmp_path_factory.mktemp("rankings")
-    write_rankings_json(report, out / "streamed.json")
+    saved, sweep._RANKING_ROWS = sweep._RANKING_ROWS, chunk_rows
+    try:
+        write_rankings_json(report, out / "streamed.json")
+    finally:
+        sweep._RANKING_ROWS = saved
     dump_json(report, out / "dumped.json")
     assert (out / "streamed.json").read_bytes() == (out / "dumped.json").read_bytes()
 
