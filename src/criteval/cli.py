@@ -28,6 +28,14 @@ def _parse_config(text: str) -> CriticalityConfig:
     return CriticalityConfig(*values)
 
 
+def _typed(arg: str) -> str:
+    """A command-line name as the UTF-8 text of its bytes, which an ASCII locale leaves escaped."""
+    try:
+        return arg.encode("utf-8", "surrogateescape").decode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:  # a surrogate that escapes no byte: the name is kept as given
+        return arg
+
+
 def _load_grid(spec: str) -> sweep.ConfigGrid:
     """The default grid, or one read from a JSON file; errors name the JSON path."""
     if spec == "default":
@@ -109,8 +117,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     paths: dict[str, str] = {}
     for spec in args.pred:
         name, sep, path = spec.partition("=")
-        if not sep:
-            name, path = Path(spec).stem, spec
+        name, path = (_typed(name), path) if sep else (_typed(Path(spec).stem), spec)
+        if not name:
+            raise ValueError(f"--pred {spec!r}: the detector name is empty")
         if name in paths:
             raise ValueError(f"duplicate detector name {name!r}")
         paths[name] = path
@@ -142,6 +151,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         listed = ", ".join(f"{limit:g}" for limit in by_limit) or "none"
         raise ValueError(f"{args.table}: no rows with l={args.limit:g}; limits present: {listed}")
     text = lambda c: ",".join(f"{v:g}" for v in c)
+    encoding = sys.stdout.encoding or "utf-8"  # a name it cannot hold prints escaped
+    shown = lambda name: name.encode(encoding, "backslashreplace").decode(encoding)
     other = "ap" if args.metric == "ap_crit" else "ap_crit"
     for limit in by_limit if args.limit is None else [args.limit]:
         cells = by_limit[limit]
@@ -155,7 +166,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         n_moved, max_displacement = sweep.ranking_diff(sweep.rank(cell, other), order)
         print(f"l={limit:g} config=({text(key)}) metric={args.metric}")
         for i, name in enumerate(order, start=1):
-            print(f"  {i}. {name}  {getattr(cell[name], args.metric):.6f}")
+            print(f"  {i}. {shown(name)}  {getattr(cell[name], args.metric):.6f}")
         print(f"  vs {other}: n_moved={n_moved} max_displacement={max_displacement}")
     return 0
 
@@ -274,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("birdview", help="render one frame as an annotated SVG")
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", default=None)
-    p.add_argument("--frame", required=True)
+    p.add_argument("--frame", required=True, type=_typed)
     p.add_argument("--weight", choices=list(render.WEIGHT_NAMES), default="kappa")
     p.add_argument("--dmax", type=float, required=True)
     p.add_argument("--rmax", type=float, required=True)

@@ -373,29 +373,11 @@ def build_curve(
 
 
 def _curve_arrays(curve: Sequence[CurvePoint], use_weighted: bool) -> tuple[np.ndarray, np.ndarray]:
-    if use_weighted:
-        r = np.array([pt.r_s for pt in curve], dtype=np.float64)
-        p = np.array([pt.p_r for pt in curve], dtype=np.float64)
-    else:
-        r = np.array([pt.recall for pt in curve], dtype=np.float64)
-        p = np.array([pt.precision for pt in curve], dtype=np.float64)
+    r = np.array([pt.r_s if use_weighted else pt.recall for pt in curve], dtype=np.float64)
+    p = np.array([pt.p_r if use_weighted else pt.precision for pt in curve], dtype=np.float64)
     if len(r) > 1 and np.any(np.diff(r) < 0):
         raise ValueError("curve must be sorted by nondecreasing recall")
     return r, p
-
-
-def _ap_paper_arrays(r: np.ndarray, p: np.ndarray) -> float:
-    if len(r) == 0:
-        return 0.0
-    keep = (p >= AP_MIN_PRECISION) & (r >= AP_MIN_RECALL)
-    if not keep.any():
-        return 0.0
-    first = int(np.flatnonzero(keep)[0])
-    anchor = float(r[first - 1]) if first > 0 else 0.0
-    rk = r[keep]
-    pk = p[keep]
-    prev = np.concatenate(([anchor], rk[:-1]))
-    return float(np.sum((rk - prev) * pk))
 
 
 # bench/spans.py:58-59 hook this and devkit_average_precision as the summarize layer.
@@ -406,7 +388,7 @@ def average_precision(curve: Sequence[CurvePoint], use_weighted: bool = False) -
     retained point is anchored at its predecessor's recall (0 if none).
     With ``use_weighted`` the (r_s, p_r) coordinates are summarized instead.
     """
-    return _ap_paper_arrays(*_curve_arrays(curve, use_weighted))
+    return ap_from_arrays("paper", *_curve_arrays(curve, use_weighted))
 
 
 def devkit_average_precision(curve: Sequence[CurvePoint], use_weighted: bool = False) -> float:
@@ -423,9 +405,9 @@ def ap_function(ap_style: str) -> Callable[[Sequence[CurvePoint], bool], float]:
 
 
 def _ap_paper_rows(r: np.ndarray, p: np.ndarray) -> list[float]:
-    """``_ap_paper_arrays`` per row. As recall is nondecreasing, a row's kept
-    points nearly always form one run; its terms are then a contiguous slice
-    of ``prod``, which sums pairwise as the compacted 1-D array does."""
+    """Paper AP per row. As recall is nondecreasing, a row's kept points nearly
+    always form one run; its terms are then a contiguous slice of ``prod``.
+    A split run is compacted, each kept point stepping from the one before."""
     if not r.shape[1]:
         return [0.0] * len(r)
     keep = (p >= AP_MIN_PRECISION) & (r >= AP_MIN_RECALL)
@@ -436,39 +418,43 @@ def _ap_paper_rows(r: np.ndarray, p: np.ndarray) -> list[float]:
         np.subtract(r.ravel()[1:], r.ravel()[:-1], out=prod.reshape(-1)[1:])
         prod[:, 0] = r[:, 0]
         prod *= p
-    return [float(prod[i, a:b].sum()) if n == b - a else _ap_paper_arrays(r[i], p[i]) if n else 0.0
-            for i, (a, b, n) in enumerate(runs)]
+    aps = []
+    for i, (a, b, n) in enumerate(runs):
+        if n and n != b - a:  # a split run: its compacted terms, anchored before the first
+            prod[i, a:a + n] = np.diff(r[i, keep[i]], prepend=r[i, a - 1] if a else 0.0) * p[i, keep[i]]
+        aps.append(float(prod[i, a:a + n].sum()) if n else 0.0)
+    return aps
+
+
+def _on_grid(r: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Each row's precision at the 101 recall points, 0 beyond its last recall or without cuts."""
+    out = np.zeros((len(r), len(_RECALL_GRID)))
+    if r.shape[1]:
+        for row, ri, pi in zip(out, r, p):
+            row[:] = np.interp(_RECALL_GRID, ri, pi, right=0.0)
+    return out
 
 
 def _ap_devkit_rows(r: np.ndarray, p: np.ndarray) -> list[float]:
     """Devkit AP per row; only ``np.interp`` runs row by row."""
-    if not r.shape[1]:
-        return [0.0] * len(r)
-    prec = np.empty((len(r), len(_RECALL_GRID)))
-    for row, ri, pi in zip(prec, r, p):
-        row[:] = np.interp(_RECALL_GRID, ri, pi, right=0.0)
-    prec = prec[:, round(100 * AP_MIN_RECALL) + 1 :] - AP_MIN_PRECISION
-    prec[prec < 0] = 0.0
+    prec = np.maximum(_on_grid(r, p)[:, round(100 * AP_MIN_RECALL) + 1 :] - AP_MIN_PRECISION, 0.0)
     return [min(1.0, mean / (1.0 - AP_MIN_PRECISION)) for mean in np.mean(prec, axis=1).tolist()]
 
 
 def ap_from_arrays(ap_style: str, r: np.ndarray, p: np.ndarray) -> float | list[float]:
     """Array fast path; assumes ``r`` is nondecreasing. ``(rows, cuts)`` arrays give a list of
-    each row's AP."""
+    each row's AP; a 1-D curve is a one-row batch and gives its AP."""
     if ap_style not in AP_STYLES:
         raise ValueError(f"ap_style must be one of {AP_STYLES}, got {ap_style!r}")
-    if ap_style == "paper":
-        return _ap_paper_rows(r, p) if np.ndim(r) == 2 else _ap_paper_arrays(r, p)
-    return _ap_devkit_rows(r, p) if np.ndim(r) == 2 else _ap_devkit_rows(r[None], p[None])[0]
+    kernel = _ap_paper_rows if ap_style == "paper" else _ap_devkit_rows
+    aps = kernel(np.atleast_2d(r), np.atleast_2d(p))
+    return aps if np.ndim(r) == 2 else aps[0]
 
 
 def _recall_grid(recall: np.ndarray, precision: np.ndarray, r_s: np.ndarray,
                  p_r: np.ndarray) -> dict[str, Any]:
-    out: dict[str, Any] = {"step": 0.01, "grid": _RECALL_GRID.tolist()}
-    for key, r, p in (("precision", recall, precision), ("p_r", r_s, p_r)):
-        values = np.interp(_RECALL_GRID, r, p, right=0.0) if len(r) else np.zeros(len(_RECALL_GRID))
-        out[key] = values.tolist()
-    return out
+    on_grid = _on_grid(np.stack((recall, r_s)), np.stack((precision, p_r))).tolist()
+    return {"step": 0.01, "grid": _RECALL_GRID.tolist(), "precision": on_grid[0], "p_r": on_grid[1]}
 
 
 # bench/check.py:227 checks curve_recall_grid against it.

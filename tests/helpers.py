@@ -12,7 +12,7 @@ import numpy as np
 
 from criteval.criticality import CriticalityConfig, criticality_components
 from criteval.matching import greedy_assign
-from criteval.metrics import CurvePoint, EvaluationReport, _ratio
+from criteval.metrics import AP_MIN_PRECISION, AP_MIN_RECALL, CurvePoint, EvaluationReport, _ratio
 from criteval.model import Dataset, Detection, Frame, ObjectState, Vec2
 from criteval.synthgen import ScenarioObject, ScenarioSpec, SplitMix64, gen_dataset
 
@@ -197,6 +197,21 @@ def brute_force_cpa(
     distances = np.hypot(dx, dy)
     best = int(np.argmin(distances))
     return float(distances[best]), float(times[best])
+
+
+def paper_ap_oracle(r: np.ndarray, p: np.ndarray) -> float:
+    """Paper AP of one curve, its kept points compacted (test oracle of the batched summary)."""
+    if len(r) == 0:
+        return 0.0
+    keep = (p >= AP_MIN_PRECISION) & (r >= AP_MIN_RECALL)
+    if not keep.any():
+        return 0.0
+    first = int(np.flatnonzero(keep)[0])
+    anchor = float(r[first - 1]) if first > 0 else 0.0
+    rk = r[keep]
+    pk = p[keep]
+    prev = np.concatenate(([anchor], rk[:-1]))
+    return float(np.sum((rk - prev) * pk))
 
 
 def devkit_ap_oracle(r: np.ndarray, p: np.ndarray) -> float:

@@ -244,6 +244,36 @@ def test_sweep_writes_utf8_under_an_ascii_locale(synthetic_inputs, tmp_path):
     assert {row.detector for row in sweep.read_sweep_csv(tmp_path / "out" / "sweep.csv")} == {"\u8eca"}
 
 
+def test_non_ascii_names_and_paths_under_an_ascii_locale(synthetic_inputs, tmp_path):
+    """Detector names and ``--frame`` are the UTF-8 text of the bytes typed; paths open as typed."""
+    gt, pred = synthetic_inputs
+    other = tmp_path / "\u4e59.json"  # a non-ASCII path, whose stem names the detector
+    other.write_bytes(pred.read_bytes())
+    data = json.loads(gt.read_text())
+    data["frames"][0]["frame_id"] = "\u8eca000"
+    (tmp_path / "\u8eca_gt.json").write_text(json.dumps(data))
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"d_values": [10], "r_values": [20], "t_values": [8]}')
+    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+           "PYTHONPATH": str(Path(model.__file__).parents[1])}
+    cli = [sys.executable, "-c", "import sys; from criteval.cli import main; sys.exit(main(sys.argv[1:]))"]
+    run = lambda *args: subprocess.run([*cli, *args], env=env, capture_output=True, text=True)
+    out = tmp_path / "out"
+    done = run("sweep", "--gt", str(gt), "--pred", f"\u8eca={pred}", "--pred", str(other),
+               "--grid", str(grid), "--dist-limits", "1", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert {row.detector for row in sweep.read_sweep_csv(out / "sweep.csv")} == {"\u8eca", "\u4e59"}
+    (entry,) = json.loads((out / "rankings.json").read_text(encoding="utf-8"))["per_config"]
+    assert sorted(entry["order_ap"]) == ["\u4e59", "\u8eca"]
+    done = run("rank", "--table", str(out / "sweep.csv"), "--metric", "ap")
+    assert done.returncode == 0, done.stderr
+    assert "1. \\u4e59  1.000000" in done.stdout and "2. \\u8eca  1.000000" in done.stdout
+    done = run("birdview", "--gt", str(tmp_path / "\u8eca_gt.json"), "--frame", "\u8eca000",
+               "--dmax", "20", "--rmax", "20", "--tmax", "8", "--out", str(tmp_path / "f.svg"))
+    assert done.returncode == 0, done.stderr
+    assert "\u8eca000" in (tmp_path / "f.svg").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
 @pytest.mark.parametrize(
     "limits, message",
@@ -848,6 +878,7 @@ _CAPS = ["--dmax", "20", "--rmax", "20", "--tmax", "8"]
         ("sweep", [], '{"d_values": [10], "r_values": 20, "t_values": [4]}',
          "$.r_values: expected a list of numbers, got 20"),
         ("sweep", ["--pred", "a=other.json"], None, "duplicate detector name 'a'"),
+        ("sweep", ["--pred", "=other.json"], None, "--pred '=other.json': the detector name is empty"),
         ("evaluate", ["--dmax", "0", "--rmax", "20", "--tmax", "8"], None,
          "d_max must be positive and finite, got 0.0"),
         ("evaluate", ["--dmax", "20", "--rmax", "20", "--tmax", "nan"], None,

@@ -51,6 +51,7 @@ from helpers import (
     make_frame,
     make_state,
     match_frame,
+    paper_ap_oracle,
     perfect_detections,
     random_scenario_spec,
     report_json_oracle,
@@ -369,32 +370,38 @@ def _curve_row(draw, cuts: int) -> tuple[list[float], list[float]]:
     return r, p
 
 
-@given(data=st.data(), cuts=st.integers(min_value=0, max_value=12),
-       rows=st.integers(min_value=0, max_value=6), ap_style=st.sampled_from(metrics.AP_STYLES))
+_CURVE_BATCH = st.integers(min_value=0, max_value=12).flatmap(
+    lambda cuts: st.tuples(st.just(cuts), st.lists(_curve_row(cuts), max_size=6)))
+_AP_ORACLES = {"paper": paper_ap_oracle, "devkit": devkit_ap_oracle}
+
+
+@given(batch=_CURVE_BATCH, ap_style=st.sampled_from(metrics.AP_STYLES))
+# Split runs: one from cut 0 (anchored at 0.0), one ending at the last cut; then no kept point.
+@example(batch=(4, [([0.1, 0.2, 0.5, 0.6], [0.9, 0.05, 0.8, 0.7])]), ap_style="paper")
+@example(batch=(4, [([0.05, 0.2, 0.5, 0.6], [0.9, 0.8, 0.05, 0.7])]), ap_style="paper")
+@example(batch=(3, [([0.05, 0.3, 0.6], [0.9, 0.05, 0.05])]), ap_style="paper")
 @settings(max_examples=300, deadline=None)
-def test_batched_ap_equals_the_per_row_call(data, cuts, rows, ap_style):
-    pairs = [data.draw(_curve_row(cuts)) for _ in range(rows)]
+def test_batched_ap_equals_the_per_row_call(batch, ap_style):
+    cuts, pairs = batch
+    rows = len(pairs)
     r = np.array([r for r, _ in pairs], dtype=np.float64).reshape(rows, cuts)
     p = np.array([p for _, p in pairs], dtype=np.float64).reshape(rows, cuts)
+    expected = [repr(_AP_ORACLES[ap_style](r[i], p[i])) for i in range(rows)]
     batched = ap_from_arrays(ap_style, r, p)
-    assert isinstance(batched, list) and all(type(ap) is float for ap in batched)
-    assert list(map(repr, batched)) == [repr(ap_from_arrays(ap_style, r[i].copy(), p[i].copy()))
-                                        for i in range(rows)]
-    if ap_style == "devkit":
-        assert list(map(repr, batched)) == [repr(devkit_ap_oracle(r[i], p[i])) for i in range(rows)]
+    one_row = [ap_from_arrays(ap_style, r[i].copy(), p[i].copy()) for i in range(rows)]
+    for aps in (batched, one_row):
+        assert isinstance(aps, list) and all(type(ap) is float for ap in aps)
+        assert list(map(repr, aps)) == expected
 
 
-def test_batched_paper_ap_falls_back_only_for_a_split_run(monkeypatch):
+def test_batched_paper_ap_of_a_split_run_equals_the_oracle():
     r = np.array([[0.2, 0.4, 0.6, 0.8], [0.2, 0.4, 0.6, 0.8], [0.0, 0.05, 0.1, 0.3],
                   [0.2, 0.4, 0.6, 0.8]])
     p = np.array([[1.0, 0.9, 0.8, 0.7], [1.0, 0.05, 0.8, 0.7], [1.0, 0.9, 0.8, 0.7],
-                  [0.05, 0.05, 0.05, 0.05]])
-    calls = []
-    one_row = metrics._ap_paper_arrays
-    monkeypatch.setattr(metrics, "_ap_paper_arrays", lambda *a: calls.append(a) or one_row(*a))
+                  [0.05, 0.05, 0.05, 0.05]])  # row 1 is the split run
     batched = ap_from_arrays("paper", r, p)
-    assert len(calls) == 1 and np.array_equal(calls[0][1], p[1])
-    assert batched == [one_row(r[i], p[i]) for i in range(4)]
+    assert list(map(repr, batched)) == [repr(paper_ap_oracle(r[i], p[i])) for i in range(4)]
+    assert batched[1] == paper_ap_oracle(r[1], p[1]) != float(np.sum(np.diff(r[1], prepend=0.0) * p[1]))
     assert batched[3] == 0.0 and min(batched[:3]) > 0.0
 
 
@@ -483,13 +490,24 @@ def test_each_object_is_classified_once_whatever_the_limits(monkeypatch):
         assert len(rows) == 2 and sum(rows) == expected
 
 
-def test_resample_curve_grid():
+@given(series=st.integers(min_value=0, max_value=12).flatmap(
+    lambda cuts: st.tuples(_curve_row(cuts), _curve_row(cuts))))
+@example(series=(([], []), ([], [])))
+@settings(max_examples=100, deadline=None)
+def test_resample_curve_grid(series):
     dataset = _two_frame_dataset()
     curve = build_curve(dataset, perfect_detections(dataset, 1.0), "car", 0.5, CFG)
     grid = resample_curve(curve)
     assert len(grid["grid"]) == 101
     assert grid["precision"][0] == 1.0
     assert grid["p_r"][100] == 1.0
+    # Each series of a drawn curve, or of no points, is np.interp of it on the grid.
+    (recall, precision), (r_s, p_r) = series
+    grid = resample_curve([CurvePoint(0.5, *pt) for pt in zip(precision, recall, p_r, r_s)])
+    assert grid["step"] == 0.01 and grid["grid"] == np.linspace(0, 1, 101).tolist()
+    for key, r, p in (("precision", recall, precision), ("p_r", r_s, p_r)):
+        expected = np.interp(np.linspace(0, 1, 101), r, p, right=0.0).tolist() if r else [0.0] * 101
+        assert list(map(repr, grid[key])) == list(map(repr, expected))
 
 
 def test_write_curve_csv(tmp_path):
