@@ -36,6 +36,15 @@ def _typed(arg: str) -> str:
         return arg
 
 
+def _out_dir(text: str) -> Path:
+    """``--out`` as a directory that can be made: it, or its nearest existing ancestor, is one."""
+    out = Path(text)
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out {text!r}: {str(existing)!r} is not a directory")
+    return out
+
+
 def _load_grid(spec: str) -> sweep.ConfigGrid:
     """The default grid, or one read from a JSON file; errors name the JSON path."""
     if spec == "default":
@@ -88,16 +97,18 @@ def _curve_files(class_name: str, limits: Sequence[float]) -> dict[float, str]:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    out = _out_dir(args.out)
     cfg = CriticalityConfig(args.dmax, args.rmax, args.tmax)
-    limits = metrics.check_scope(args.class_name, args.dist_limits, args.max_range)
+    # The curve files and the header take the class as typed: an ASCII locale writes back its bytes.
+    class_name = _typed(args.class_name)
+    limits = metrics.check_scope(class_name, args.dist_limits, args.max_range)
     curve_files = _curve_files(args.class_name, limits)
     dataset = model.load_ground_truth(args.gt)
     detections = model.load_detections(args.pred)
     _warn_unknown_frames(model.ingest_summary(dataset, detections))
-    _require_class(dataset, [detections], args.class_name)
-    report = metrics.evaluate_detector(dataset, detections, args.class_name, limits, cfg,
+    _require_class(dataset, [detections], class_name)
+    report = metrics.evaluate_detector(dataset, detections, class_name, limits, cfg,
                                        ap_style=args.ap_style, max_range=args.max_range)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics.write_report_json(report, out / "report.json")
     for res in report.results:
@@ -112,8 +123,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    out = _out_dir(args.out)
     grid = _load_grid(args.grid)
-    metrics.check_scope(args.class_name, args.dist_limits, args.max_range)
+    class_name = _typed(args.class_name)
+    metrics.check_scope(class_name, args.dist_limits, args.max_range)
     paths: dict[str, str] = {}
     for spec in args.pred:
         name, sep, path = spec.partition("=")
@@ -128,10 +141,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for name, path in paths.items():
         detectors[name] = model.load_detections(path)
         _warn_unknown_frames(model.ingest_summary(dataset, detectors[name]))
-    _require_class(dataset, list(detectors.values()), args.class_name)
-    rows = sweep.evaluate_sweep(dataset, detectors, grid, args.dist_limits, args.class_name,
+    _require_class(dataset, list(detectors.values()), class_name)
+    rows = sweep.evaluate_sweep(dataset, detectors, grid, args.dist_limits, class_name,
                                 ap_style=args.ap_style, max_range=args.max_range)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sweep.write_sweep_csv(rows, out / "sweep.csv")
     sweep.write_rankings_json(sweep.rankings_report(rows, args.dist_limits), out / "rankings.json")
@@ -172,6 +184,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    out = _out_dir(args.out)
     data = model.read_json(args.spec)
     root = "$.scenario" if isinstance(data, dict) and "scenario" in data else "$"
     spec = synthgen.scenario_from_dict(data["scenario"] if root != "$" else data, root)
@@ -190,7 +203,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         dataset = synthgen.gen_dataset(spec)
     except ValueError as exc:
         raise ValueError(f"{root}.{exc}") from None
-    out = Path(args.out)
     files = [(out / "gt.json", model.dataset_to_dict(dataset))]
     # Every detector is drawn before any file is written.
     for i, name in enumerate(sorted(detectors)):

@@ -437,12 +437,7 @@ def dataset_to_dict(dataset: Dataset) -> dict[str, Any]:
             {
                 "frame_id": f.frame_id,
                 "timestamp": f.timestamp,
-                "ego": {
-                    "center": [f.ego.center.x, f.ego.center.y],
-                    "velocity": [f.ego.velocity.x, f.ego.velocity.y],
-                    "size": [f.ego.size[0], f.ego.size[1]],
-                    "yaw": f.ego.yaw,
-                },
+                "ego": {k: v for k, v in _state_to_dict(f.ego).items() if k not in ("id", "class")},
                 "objects": [_state_to_dict(o) for o in f.ground_truth],
             }
             for f in dataset.frames

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 from .model import (
     DEFAULT_EGO_SIZE,
@@ -146,55 +146,60 @@ class ErrorModel:
         return steps[-1][1] if steps else 0.0
 
 
-def _center(start: Vec2, velocity: Vec2 | None, t: float, where: str) -> Vec2:
-    """``start + velocity * t``, which a huge velocity can overflow; no file may hold inf."""
-    vx, vy = (0.0, 0.0) if velocity is None else velocity
-    center = Vec2(start.x + vx * t, start.y + vy * t)
+def _state_at(obj: ScenarioObject, object_id: str, t: float, where: str) -> ObjectState:
+    """``obj`` at time ``t``. ``start + velocity * t`` can overflow, and no file may hold inf."""
+    vx, vy = (0.0, 0.0) if obj.velocity is None else obj.velocity
+    center = Vec2(obj.start.x + vx * t, obj.start.y + vy * t)
     if not (math.isfinite(center.x) and math.isfinite(center.y)):
         raise ValueError(f"{where}: the center overflows to {tuple(center)} at t={t} s")
-    return center
+    return ObjectState(object_id, obj.class_name, center, obj.velocity, obj.size,
+                       _heading(obj.velocity))
 
 
 def gen_dataset(spec: ScenarioSpec) -> Dataset:
     """Frames sampled every 0.5 s; objects with unknown velocity stay put. A center that
     overflows raises ``ValueError`` naming ``ego`` or ``objects[i]``."""
+    ego = ScenarioObject(spec.ego_start, spec.ego_velocity, EGO_ID, DEFAULT_EGO_SIZE)
+    movers = [(ego, EGO_ID, "ego")] + [(obj, obj.object_id or f"obj{i:03d}", f"objects[{i}]")
+                                       for i, obj in enumerate(spec.objects)]
     frames: list[Frame] = []
     for k in range(spec.n_frames):
         t = k * KEYFRAME_INTERVAL
-        ego = ObjectState(
-            object_id=EGO_ID,
-            class_name=EGO_ID,
-            center=_center(spec.ego_start, spec.ego_velocity, t, "ego"),
-            velocity=spec.ego_velocity,
-            size=DEFAULT_EGO_SIZE,
-            yaw=_heading(spec.ego_velocity),
-        )
-        objects = []
-        for i, obj in enumerate(spec.objects):
-            objects.append(
-                ObjectState(
-                    object_id=obj.object_id or f"obj{i:03d}",
-                    class_name=obj.class_name,
-                    center=_center(obj.start, obj.velocity, t, f"objects[{i}]"),
-                    velocity=obj.velocity,
-                    size=obj.size,
-                    yaw=_heading(obj.velocity),
-                )
-            )
-        frames.append(Frame(f"{spec.frame_prefix}{k:03d}", t, ego, objects))
+        ego_state, *objects = [_state_at(obj, object_id, t, where)
+                              for obj, object_id, where in movers]
+        frames.append(Frame(f"{spec.frame_prefix}{k:03d}", t, ego_state, objects))
     return Dataset(frames=frames, meta={"generator": "criteval.synthgen", "seed": spec.seed})
 
 
-def _clamp01(value: float) -> float:
-    return min(1.0, max(0.0, value))
-
-
-def _finite_detection(frame_id: str, state: ObjectState, confidence: float) -> Detection:
-    """A detection whose drawn numbers are finite; a huge noise sigma can overflow a draw."""
-    values = (*state.center, *(state.velocity or ()))
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"frame {frame_id!r}: drew a non-finite center or velocity {values}")
-    return Detection(frame_id, state, confidence)
+def _unscored(frame: Frame, model: ErrorModel, rng: SplitMix64) -> Iterator[tuple[Any, ...]]:
+    """The detections of ``frame`` before their confidence, as ``(kind, class, center,
+    velocity, size, yaw)``: true positives in object order, then the false positives."""
+    for obj in frame.ground_truth:
+        distance = math.hypot(
+            obj.center.x - frame.ego.center.x, obj.center.y - frame.ego.center.y
+        )
+        if rng.uniform() < model.miss_probability(distance):
+            continue
+        center = Vec2(
+            obj.center.x + rng.gauss(0.0, model.center_noise_sigma),
+            obj.center.y + rng.gauss(0.0, model.center_noise_sigma),
+        )
+        velocity = obj.velocity
+        if velocity is not None:
+            velocity = Vec2(
+                velocity.x + rng.gauss(0.0, model.velocity_noise_sigma),
+                velocity.y + rng.gauss(0.0, model.velocity_noise_sigma),
+            )
+        yield "true", obj.class_name, center, velocity, obj.size, obj.yaw
+    for _ in range(rng.poisson(model.fp_rate_per_frame)):
+        angle = 2.0 * math.pi * rng.uniform()
+        radius = model.fp_radius * math.sqrt(rng.uniform())
+        speed = 15.0 * rng.uniform()
+        direction = 2.0 * math.pi * rng.uniform()
+        center = Vec2(frame.ego.center.x + radius * math.cos(angle),
+                      frame.ego.center.y + radius * math.sin(angle))
+        velocity = Vec2(speed * math.cos(direction), speed * math.sin(direction))
+        yield "false", "car", center, velocity, DEFAULT_OBJECT_SIZE, direction
 
 
 def corrupt(dataset: Dataset, model: ErrorModel, seed: int) -> list[Detection]:
@@ -207,55 +212,17 @@ def corrupt(dataset: Dataset, model: ErrorModel, seed: int) -> list[Detection]:
     rng = SplitMix64(seed)
     detections: list[Detection] = []
     for frame in dataset.frames:
-        index = 0
-        for obj in frame.ground_truth:
-            distance = math.hypot(
-                obj.center.x - frame.ego.center.x, obj.center.y - frame.ego.center.y
-            )
-            if rng.uniform() < model.miss_probability(distance):
-                continue
-            center = Vec2(
-                obj.center.x + rng.gauss(0.0, model.center_noise_sigma),
-                obj.center.y + rng.gauss(0.0, model.center_noise_sigma),
-            )
-            velocity = obj.velocity
-            if velocity is not None:
-                velocity = Vec2(
-                    velocity.x + rng.gauss(0.0, model.velocity_noise_sigma),
-                    velocity.y + rng.gauss(0.0, model.velocity_noise_sigma),
-                )
-            conf_params = model.confidence_model["true"]
-            confidence = _clamp01(rng.gauss(conf_params["mean"], conf_params["std"]))
-            state = ObjectState(
-                object_id=f"det{index}",
-                class_name=obj.class_name,
-                center=center,
-                velocity=velocity,
-                size=obj.size,
-                yaw=obj.yaw,
-            )
-            detections.append(_finite_detection(frame.frame_id, state, confidence))
-            index += 1
-        for _ in range(rng.poisson(model.fp_rate_per_frame)):
-            angle = 2.0 * math.pi * rng.uniform()
-            radius = model.fp_radius * math.sqrt(rng.uniform())
-            speed = 15.0 * rng.uniform()
-            direction = 2.0 * math.pi * rng.uniform()
-            conf_params = model.confidence_model["false"]
-            state = ObjectState(
-                object_id=f"det{index}",
-                class_name="car",
-                center=Vec2(
-                    frame.ego.center.x + radius * math.cos(angle),
-                    frame.ego.center.y + radius * math.sin(angle),
-                ),
-                velocity=Vec2(speed * math.cos(direction), speed * math.sin(direction)),
-                size=DEFAULT_OBJECT_SIZE,
-                yaw=direction,
-            )
-            detections.append(_finite_detection(
-                frame.frame_id, state, _clamp01(rng.gauss(conf_params["mean"], conf_params["std"]))))
-            index += 1
+        # _unscored is lazy: each confidence is drawn right after its detection's other draws.
+        for index, (kind, class_name, center, velocity, size, yaw) in enumerate(
+                _unscored(frame, model, rng)):
+            params = model.confidence_model[kind]
+            confidence = min(1.0, max(0.0, rng.gauss(params["mean"], params["std"])))
+            values = (*center, *(velocity or ()))  # a huge noise sigma can overflow a draw
+            if not all(map(math.isfinite, values)):
+                raise ValueError(
+                    f"frame {frame.frame_id!r}: drew a non-finite center or velocity {values}")
+            state = ObjectState(f"det{index}", class_name, center, velocity, size, yaw)
+            detections.append(Detection(frame.frame_id, state, confidence))
     return detections
 
 

@@ -229,17 +229,21 @@ def test_sweep_rank_round_trip(synthetic_inputs, tmp_path, capsys):
     assert "1. copy" in stdout and "2. ideal" in stdout  # tie broken by name
 
 
+def _run_under_ascii_locale(*args: str) -> subprocess.CompletedProcess:
+    """``criteval *args`` in a child process whose locale, and so argv and stdout, is ASCII."""
+    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+           "PYTHONPATH": str(Path(model.__file__).parents[1])}
+    cli = [sys.executable, "-c", "import sys; from criteval.cli import main; sys.exit(main(sys.argv[1:]))"]
+    return subprocess.run([*cli, *args], env=env, capture_output=True, text=True)
+
+
 def test_sweep_writes_utf8_under_an_ascii_locale(synthetic_inputs, tmp_path):
     """``sweep.csv`` is UTF-8 whatever the locale, as ``read_sweep_csv`` reads it."""
     gt, pred = synthetic_inputs
     grid = tmp_path / "grid.json"
     grid.write_text('{"d_values": [10], "r_values": [20], "t_values": [8]}')
-    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
-           "PYTHONPATH": str(Path(model.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys; from criteval.cli import main; sys.exit(main(sys.argv[1:]))",
-         "sweep", "--gt", str(gt), "--pred", f"\u8eca={pred}", "--grid", str(grid),
-         "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True)
+    done = _run_under_ascii_locale("sweep", "--gt", str(gt), "--pred", f"\u8eca={pred}",
+                                   "--grid", str(grid), "--out", str(tmp_path / "out"))
     assert done.returncode == 0, done.stderr
     assert {row.detector for row in sweep.read_sweep_csv(tmp_path / "out" / "sweep.csv")} == {"\u8eca"}
 
@@ -254,10 +258,7 @@ def test_non_ascii_names_and_paths_under_an_ascii_locale(synthetic_inputs, tmp_p
     (tmp_path / "\u8eca_gt.json").write_text(json.dumps(data))
     grid = tmp_path / "grid.json"
     grid.write_text('{"d_values": [10], "r_values": [20], "t_values": [8]}')
-    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
-           "PYTHONPATH": str(Path(model.__file__).parents[1])}
-    cli = [sys.executable, "-c", "import sys; from criteval.cli import main; sys.exit(main(sys.argv[1:]))"]
-    run = lambda *args: subprocess.run([*cli, *args], env=env, capture_output=True, text=True)
+    run = _run_under_ascii_locale
     out = tmp_path / "out"
     done = run("sweep", "--gt", str(gt), "--pred", f"\u8eca={pred}", "--pred", str(other),
                "--grid", str(grid), "--dist-limits", "1", "--out", str(out))
@@ -272,6 +273,26 @@ def test_non_ascii_names_and_paths_under_an_ascii_locale(synthetic_inputs, tmp_p
                "--dmax", "20", "--rmax", "20", "--tmax", "8", "--out", str(tmp_path / "f.svg"))
     assert done.returncode == 0, done.stderr
     assert "\u8eca000" in (tmp_path / "f.svg").read_text(encoding="utf-8")
+
+
+def test_non_ascii_class_under_an_ascii_locale(synthetic_inputs, tmp_path):
+    """``--class`` is the UTF-8 text of the bytes typed; its curve files are named by those bytes."""
+    gt, pred = synthetic_inputs
+    for path in (gt, pred):
+        path.write_text(path.read_text().replace('"class": "car"', '"class": "\\u8eca"'))
+    out = tmp_path / "out"
+    done = _run_under_ascii_locale("evaluate", "--gt", str(gt), "--pred", str(pred), *_CAPS,
+                                   "--class", "\u8eca", "--dist-limits", "1", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert json.loads((out / "report.json").read_text())["class"] == "\u8eca"
+    assert (out / "curve_\u8eca_l1.csv").is_file()
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"d_values": [10], "r_values": [20], "t_values": [8]}')
+    done = _run_under_ascii_locale("sweep", "--gt", str(gt), "--pred", f"a={pred}", "--grid",
+                                   str(grid), "--class", "\u8eca", "--out", str(tmp_path / "sw"))
+    assert done.returncode == 0, done.stderr
+    rows = sweep.read_sweep_csv(tmp_path / "sw" / "sweep.csv")
+    assert {row.class_name for row in rows} == {"\u8eca"}
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
@@ -908,6 +929,25 @@ def test_argument_errors_come_before_any_data_file(tmp_path, capsys, monkeypatch
                  *args, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("evaluate", ["--gt", "gt.json", "--pred", "a.json", *_CAPS]),
+    ("sweep", ["--gt", "gt.json", "--pred", "a.json"]),
+    ("generate", ["--spec", "spec.json"]),
+])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_that_is_no_directory_exits_one_before_any_data_file(tmp_path, capsys, monkeypatch,
+                                                                 command, args, below):
+    for module, name in ((model, "read_json"), (model, "load_ground_truth"),
+                         (model, "load_detections"), (synthgen, "gen_dataset")):
+        monkeypatch.setattr(module, name, _read_no_data)
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = afile / "sub" if below else afile
+    assert main([command, *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --out {str(out)!r}: {str(afile)!r} is not a directory\n"
+    assert list(tmp_path.iterdir()) == [afile] and afile.read_text() == "kept"
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])

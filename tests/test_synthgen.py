@@ -1,10 +1,12 @@
 """Deterministic generation, corruption models, simulation oracle."""
 
+import hashlib
 import json
 import math
 
 import pytest
 
+from criteval.cli import main
 from criteval.criticality import CriticalityConfig, criticality_components
 from criteval.metrics import build_curve
 from criteval.model import (
@@ -255,3 +257,39 @@ def test_scenario_and_error_model_json_forms():
         error_model_from_dict({"miss_prob_by_distance": 1.5})
     with pytest.raises(ValueError):
         error_model_from_dict({"center_noise_sigma": -1.0})
+
+
+_GENERATE_SPEC = {
+    "scenario": {
+        "n_frames": 4,
+        "seed": 23,
+        "ego": {"start": [0, 0], "velocity": [1, 3]},
+        "objects": [
+            {"start": [10, 5], "velocity": [-2, 0.5]},
+            {"start": [-6, 18], "velocity": None, "class": "truck", "size": [2.5, 7], "id": "big"},
+            {"start": [25, -30], "velocity": [0, 4]},
+        ],
+    },
+    "detectors": {
+        "noisy": {"miss_prob_by_distance": [[15, 0.1], [40, 0.6]], "center_noise_sigma": 0.4,
+                  "velocity_noise_sigma": 0.3, "fp_rate_per_frame": 1.5, "fp_radius": 30},
+        "shy": {"miss_prob_by_distance": 0.3, "fp_rate_per_frame": 0.5,
+                "confidence_model": {"true": {"mean": 0.7, "std": 0.3},
+                                     "false": {"mean": 0.2, "std": 0.3}}},
+    },
+}
+
+
+def test_generate_writes_pinned_bytes(tmp_path):
+    """Pins every field ``criteval generate`` writes, ids, sizes and yaws included,
+    which the evaluate golden digests cannot see."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_GENERATE_SPEC))
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted((tmp_path / "g").iterdir())}
+    assert digests == {
+        "gt.json": "e48b0417f981443eb316d636be37fd05b2c7e9584e5eb7bbb2ba828e7efa9507",
+        "noisy.json": "8282e744afa64a6595c1e4aadf8685d1967659afd530c334c359154b84cdb5ff",
+        "shy.json": "492ad8ea8f0904aab018de200a5bc70062f2be4b90a59d8f7ec96418dbc43828",
+    }
