@@ -71,12 +71,11 @@ def _ratio(num: np.ndarray, den: np.ndarray | float) -> np.ndarray:
     return num
 
 
-# bench/run.py:243,284 report it as pool.workers and in the machine block.
 def worker_count(requested: int | None = None) -> int:
-    """Requested worker count: explicit argument, else CRIT_EVAL_THREADS, else CPU count.
+    """Worker processes: explicit argument, else CRIT_EVAL_THREADS, else the usable cores.
 
-    Evaluation runs on one thread whatever this returns; it only reports
-    the request.
+    ``criteval sweep`` evaluates up to this many detectors at once, one per
+    forked process; the library functions run in the calling process.
     """
     if requested is not None and requested > 0:
         return requested
@@ -88,7 +87,7 @@ def worker_count(requested: int | None = None) -> int:
             raise ValueError(f"CRIT_EVAL_THREADS must be an integer, got {env!r}") from None
         if value > 0:
             return value
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class _ScoreTerms:

@@ -1,8 +1,10 @@
 """End-to-end command-line behavior."""
 
 import gc
+import hashlib
 import json
 import os
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +27,7 @@ from helpers import (
     report_json_oracle,
     sweep_dataset_and_detectors,
 )
+from test_acceptance import RANKINGS_SHA256, SWEEP_CSV_SHA256
 
 DATA = Path(__file__).parent / "data"
 CFG = CriticalityConfig(20.0, 20.0, 8.0)
@@ -997,3 +1000,176 @@ def test_workers_option_is_rejected(tmp_path, monkeypatch, command, args):
         main([command, "--gt", "gt.json", "--pred", "a.json", *args, "--workers", "2",
               "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
+
+
+def test_sweep_names_the_detector_of_each_unknown_frame_warning(synthetic_inputs, tmp_path, capsys):
+    gt, pred = synthetic_inputs
+    for name, frame in (("a", "otherframe"), ("b", "nosuchframe")):
+        data = json.loads(pred.read_text())
+        data["results"][frame] = next(iter(data["results"].values()))[:1]
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    text = "{} detection frame_id(s) not present in ground truth (skipped during evaluation): {}\n"
+    assert main(["sweep", "--gt", str(gt), "--pred", f"b={tmp_path / 'b.json'}",
+                 "--pred", f"a={tmp_path / 'a.json'}", "--grid", str(_small_grid(tmp_path)),
+                 "--out", str(tmp_path / "sweep")]) == 0
+    assert capsys.readouterr().err == (f"warning: detector 'b': {text.format(1, 'nosuchframe')}"
+                                       f"warning: detector 'a': {text.format(1, 'otherframe')}")
+    assert main(["evaluate", "--gt", str(gt), "--pred", str(tmp_path / "b.json"), *_CAPS,
+                 "--out", str(tmp_path / "evaluate")]) == 0
+    assert capsys.readouterr().err == f"warning: {text.format(1, 'nosuchframe')}"
+
+
+def test_bad_worker_count_exits_one_before_any_data_file(tmp_path, capsys, monkeypatch):
+    for name in ("read_json", "load_ground_truth", "load_detections"):
+        monkeypatch.setattr(model, name, _read_no_data)
+    monkeypatch.setenv("CRIT_EVAL_THREADS", "zebra")
+    out = tmp_path / "out"
+    assert main(["sweep", "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "a.json"),
+                 "--grid", str(tmp_path / "grid.json"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: CRIT_EVAL_THREADS must be an integer, got 'zebra'\n"
+    assert not out.exists()
+
+
+def test_evaluate_ignores_the_worker_count(synthetic_inputs, tmp_path, monkeypatch):
+    monkeypatch.setenv("CRIT_EVAL_THREADS", "zebra")
+    gt, pred = synthetic_inputs
+    assert main(["evaluate", "--gt", str(gt), "--pred", str(pred), *_CAPS,
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _small_grid(tmp_path: Path) -> Path:
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"d_values": [10, 20], "r_values": [20], "t_values": [4, 8]}')
+    return grid
+
+
+@pytest.fixture(scope="module")
+def sweep_corpus(tmp_path_factory):
+    """``sweep_dataset_and_detectors`` as gt.json, farblind.json and nearblind.json."""
+    root = tmp_path_factory.mktemp("sweep_corpus")
+    dataset, detectors = sweep_dataset_and_detectors()
+    dump_json(dataset_to_dict(dataset), root / "gt.json")
+    for name, detections in detectors.items():
+        dump_json(detections_to_dict(detections), root / f"{name}.json")
+    return root
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "5"])
+def test_sweep_gives_the_golden_digests_at_any_worker_count(sweep_corpus, tmp_path, monkeypatch,
+                                                            capsys, threads):
+    monkeypatch.setenv("CRIT_EVAL_THREADS", threads)
+    out = tmp_path / "out"
+    assert main(["sweep", "--gt", str(sweep_corpus / "gt.json"),
+                 "--pred", str(sweep_corpus / "farblind.json"),
+                 "--pred", str(sweep_corpus / "nearblind.json"),
+                 "--grid", "default", "--out", str(out)]) == 0
+    _assert_no_child_left()
+    assert capsys.readouterr().err == ""
+    digest = lambda name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert (digest("sweep.csv"), digest("rankings.json")) == (SWEEP_CSV_SHA256, RANKINGS_SHA256)
+
+
+def test_sweep_bytes_do_not_depend_on_workers_or_pred_order(sweep_corpus, tmp_path, monkeypatch):
+    preds = [f"farblind={sweep_corpus / 'farblind.json'}",
+             f"nearblind={sweep_corpus / 'nearblind.json'}",
+             f"twin={sweep_corpus / 'farblind.json'}"]  # more detectors than workers
+    outputs = []
+    for threads, order in (("1", preds), ("2", preds), ("2", preds[::-1])):
+        monkeypatch.setenv("CRIT_EVAL_THREADS", threads)
+        out = tmp_path / f"out{len(outputs)}"
+        assert main(["sweep", "--gt", str(sweep_corpus / "gt.json"),
+                     *(arg for pred in order for arg in ("--pred", pred)),
+                     "--grid", str(_small_grid(tmp_path)), "--out", str(out)]) == 0
+        _assert_no_child_left()
+        outputs.append([(out / name).read_bytes() for name in ("sweep.csv", "rankings.json")])
+    assert outputs[0] == outputs[1] == outputs[2]
+    rows = sweep.read_sweep_csv(tmp_path / "out0" / "sweep.csv")
+    assert [row.detector for row in rows[::len(rows) // 3]] == ["farblind", "nearblind", "twin"]
+
+
+def _sweep_three(synthetic_inputs, tmp_path: Path) -> list[str]:
+    """``sweep`` of detectors a, b and c, one results file, at two workers."""
+    gt, pred = synthetic_inputs
+    preds = (arg for name in "abc" for arg in ("--pred", f"{name}={pred}"))
+    return ["sweep", "--gt", str(gt), *preds, "--grid", str(_small_grid(tmp_path)),
+            "--out", str(tmp_path / "out")]
+
+
+def _patch_detector_sweep(monkeypatch, **actions) -> None:
+    """``sweep.evaluate_sweep`` runs ``actions[name]()`` first for a detector that has one."""
+    evaluate_sweep = sweep.evaluate_sweep
+
+    def patched(dataset, detectors, *args, **kwargs):
+        (name,) = detectors
+        actions.get(name, lambda: None)()
+        return evaluate_sweep(dataset, detectors, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "evaluate_sweep", patched)
+
+
+def _raise(message: str):
+    def action():
+        raise ValueError(message)
+    return action
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("failing", ["b", "bc"])
+def test_sweep_worker_error_is_reported_and_no_worker_is_left(synthetic_inputs, tmp_path, capsys,
+                                                               monkeypatch, threads, failing):
+    """A worker's error is the one-process error; of several, the first by name is reported."""
+    monkeypatch.setenv("CRIT_EVAL_THREADS", threads)
+    _patch_detector_sweep(monkeypatch, **{name: _raise(f"{name} is broken") for name in failing})
+    assert main(_sweep_three(synthetic_inputs, tmp_path)) == 1
+    _assert_no_child_left()
+    assert capsys.readouterr().err == "error: b is broken\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_worker_that_dies_is_reported_and_no_worker_is_left(synthetic_inputs, tmp_path,
+                                                                   capsys, monkeypatch):
+    parent = os.getpid()
+
+    def die():
+        assert os.getpid() != parent, "evaluated in the calling process"
+        os._exit(3)
+
+    monkeypatch.setenv("CRIT_EVAL_THREADS", "2")
+    _patch_detector_sweep(monkeypatch, b=die)
+    assert main(_sweep_three(synthetic_inputs, tmp_path)) == 1
+    _assert_no_child_left()
+    assert capsys.readouterr().err == "error: detector 'b': worker exited with status 3\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_interrupted_while_waiting_leaves_no_worker(synthetic_inputs, tmp_path, monkeypatch):
+    def interrupt(*_args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setenv("CRIT_EVAL_THREADS", "2")
+    monkeypatch.setattr(select, "select", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(_sweep_three(synthetic_inputs, tmp_path))
+    _assert_no_child_left()
+    assert not (tmp_path / "out").exists()
+
+
+def test_library_and_evaluate_never_fork(synthetic_inputs, tmp_path, monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setenv("CRIT_EVAL_THREADS", "2")
+    gt, pred = synthetic_inputs
+    dataset, table = model.load_ground_truth(gt), model.load_detections(pred)
+    grid = sweep.ConfigGrid((10.0, 20.0), (20.0,), (4.0, 8.0))
+    rows = sweep.evaluate_sweep(dataset, {"a": table, "b": table}, grid, [1.0, 2.0], "car")
+    assert len(rows) == 2 * 2 * 4
+    assert len(metrics.evaluate_detector(dataset, table, "car", [1.0, 2.0], CFG).results) == 2
+    assert main(["evaluate", "--gt", str(gt), "--pred", str(pred), *_CAPS,
+                 "--out", str(tmp_path / "out")]) == 0
