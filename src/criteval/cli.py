@@ -9,7 +9,7 @@ import os
 import pickle
 import sys
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence, Sized
+from typing import Any, Callable, Collection, Sequence
 
 from . import metrics, model, render, sweep, synthgen
 from .criticality import CriticalityConfig
@@ -121,48 +121,57 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fan_out(fn: Callable[[str], Any], tables: Mapping[str, Sized], workers: int) -> list[Any]:
-    """``[fn(name) for name in sorted(tables)]`` in up to ``workers`` forked processes."""
-    if min(workers, len(tables)) <= 1 or not hasattr(os, "fork"):
-        return [fn(name) for name in sorted(tables)]
+def _fan_out(fn: Callable[[str], Any], names: Collection[str], workers: int) -> list[Any]:
+    """``[fn(name) for name in sorted(names)]`` in up to ``workers`` forked processes."""
+    if min(workers, len(names)) <= 1 or not hasattr(os, "fork"):
+        return [fn(name) for name in sorted(names)]
     import select
     import signal
-
-    waiting, running, replies = sorted(tables, key=lambda name: len(tables[name])), {}, {}
+    import traceback
+    waiting, running, replies, parent = sorted(names, reverse=True), {}, {}, os.getpid()
+    handler, held = signal.getsignal(signal.SIGINT), []
     try:
         while waiting or running:
             while waiting and len(running) < workers:
                 name, (read, write) = waiting.pop(), os.pipe()
                 sys.stdout.flush()
                 sys.stderr.flush()
-                pid = os.fork()
-                if pid == 0:  # the worker ends in os._exit on every path
+                signal.signal(signal.SIGINT, lambda *_: held.append(1))  # held until the pid is kept
+                running[open(read, "rb")] = name, os.fork()
+                signal.signal(signal.SIGINT, handler)
+                if held:
+                    signal.raise_signal(signal.SIGINT)
+                if os.getpid() != parent:  # the worker sends (result, None) or (error, traceback)
                     try:
-                        try:
-                            reply = fn(name)
-                        except BaseException as exc:
-                            reply = exc
-                        with open(write, "wb") as pipe:
-                            pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
+                        reply = fn(name), None
+                    except BaseException as exc:
+                        reply = exc, traceback.format_exc()
+                    try:
+                        pickle.loads(data := pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+                    except BaseException:  # a reply that cannot be pickled and loaded goes as text
+                        trace = (reply[1] or "") + traceback.format_exc()
+                        data = pickle.dumps((RuntimeError(trace), None))
+                    with open(write, "wb") as pipe:
+                        pipe.write(data)
+                    os._exit(0)
                 os.close(write)
-                running[open(read, "rb")] = name, pid
             with select.select(list(running), [], [])[0][0] as pipe:
                 data, status = pipe.read(), os.waitpid(running[pipe][1], 0)[1]
             name = running.pop(pipe)[0]  # reaped, so no longer running
-            replies[name] = pickle.loads(data) if data and not status else ChildProcessError(
-                f"detector {name!r}: worker exited with status {os.waitstatus_to_exitcode(status)}")
+            replies[name] = pickle.loads(data) if data and not status else (ChildProcessError(
+                f"detector {name!r}: worker exited with status {os.waitstatus_to_exitcode(status)}"), None)
     finally:
+        if os.getpid() != parent:  # a worker never returns into its caller's stack
+            os._exit(1)
+        signal.signal(signal.SIGINT, handler)  # after a failed fork
         for pipe, (_, pid) in running.items():  # after an interrupt or a failed fork
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    for name in sorted(replies):
-        if isinstance(replies[name], BaseException):
-            raise replies[name]
-    return [replies[name] for name in sorted(replies)]
+    for value, trace in (replies[name] for name in sorted(replies)):
+        if isinstance(value, BaseException):
+            raise value from RuntimeError(f"in the worker:\n{trace}") if trace else None
+    return [replies[name][0] for name in sorted(replies)]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

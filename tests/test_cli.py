@@ -4,9 +4,12 @@ import gc
 import hashlib
 import json
 import os
+import pickle
 import select
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -1131,6 +1134,19 @@ def test_sweep_worker_error_is_reported_and_no_worker_is_left(synthetic_inputs, 
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_reports_the_first_failure_by_name_not_by_time(synthetic_inputs, tmp_path, capsys,
+                                                              monkeypatch):
+    def late():
+        time.sleep(0.3)
+        raise ValueError("b is broken")
+
+    monkeypatch.setenv("CRIT_EVAL_THREADS", "3")
+    _patch_detector_sweep(monkeypatch, b=late, c=_raise("c is broken"))
+    assert main(_sweep_three(synthetic_inputs, tmp_path)) == 1
+    _assert_no_child_left()
+    assert capsys.readouterr().err == "error: b is broken\n"
+
+
 def test_sweep_worker_that_dies_is_reported_and_no_worker_is_left(synthetic_inputs, tmp_path,
                                                                    capsys, monkeypatch):
     parent = os.getpid()
@@ -1156,6 +1172,107 @@ def test_sweep_interrupted_while_waiting_leaves_no_worker(synthetic_inputs, tmp_
     with pytest.raises(KeyboardInterrupt):
         main(_sweep_three(synthetic_inputs, tmp_path))
     _assert_no_child_left()
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_worker_traceback_is_the_cause_of_its_error(synthetic_inputs, tmp_path, monkeypatch):
+    def out_of_range():
+        raise IndexError("b is out of range")
+
+    monkeypatch.setenv("CRIT_EVAL_THREADS", "2")
+    _patch_detector_sweep(monkeypatch, b=out_of_range)
+    with pytest.raises(IndexError, match="^b is out of range$") as caught:
+        main(_sweep_three(synthetic_inputs, tmp_path))
+    _assert_no_child_left()
+    cause = str(caught.value.__cause__)
+    assert cause.startswith("in the worker:\nTraceback (most recent call last):\n")
+    assert "in out_of_range\n" in cause and cause.endswith("IndexError: b is out of range\n")
+
+
+class _Unloadable(ValueError):
+    """Pickles, but cannot be rebuilt from its ``args``: its constructor takes two."""
+
+    def __init__(self, name, what):
+        super().__init__(f"{name} {what}")
+
+
+def _unpicklable() -> ValueError:
+    exc = ValueError("b is broken")
+    exc.hook = lambda: None
+    return exc
+
+
+@pytest.mark.parametrize("error", [lambda: _Unloadable("b", "is broken"), _unpicklable],
+                         ids=["unloadable", "unpicklable"])
+def test_sweep_worker_error_that_cannot_be_pickled_comes_back_as_text(synthetic_inputs, tmp_path,
+                                                                      monkeypatch, error):
+    def fail():
+        raise error()
+
+    monkeypatch.setenv("CRIT_EVAL_THREADS", "2")
+    _patch_detector_sweep(monkeypatch, b=fail)
+    with pytest.raises(RuntimeError) as caught:
+        main(_sweep_three(synthetic_inputs, tmp_path))
+    _assert_no_child_left()
+    text = str(caught.value)
+    assert text.startswith("Traceback (most recent call last):\n") and "in fail\n" in text
+    assert f"{type(error()).__qualname__}: b is broken\n" in text
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_interrupted_as_a_fork_returns_leaves_no_worker(synthetic_inputs, tmp_path,
+                                                               monkeypatch):
+    """The interrupt waits until the new worker is known, then every worker is ended."""
+    fork, handler = os.fork, signal.getsignal(signal.SIGINT)
+
+    def interrupted_fork():
+        pid = fork()
+        if pid:
+            signal.raise_signal(signal.SIGINT)
+        return pid
+
+    monkeypatch.setenv("CRIT_EVAL_THREADS", "2")
+    monkeypatch.setattr(os, "fork", interrupted_fork)
+    with pytest.raises(KeyboardInterrupt):
+        main(_sweep_three(synthetic_inputs, tmp_path))
+    _assert_no_child_left()
+    assert signal.getsignal(signal.SIGINT) is handler
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_failed_fork_leaves_no_worker(synthetic_inputs, tmp_path, capsys, monkeypatch):
+    fork, handler, forks = os.fork, signal.getsignal(signal.SIGINT), []
+
+    def second_fork_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setenv("CRIT_EVAL_THREADS", "3")
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    assert main(_sweep_three(synthetic_inputs, tmp_path)) == 1
+    _assert_no_child_left()
+    assert capsys.readouterr().err == "error: [Errno 11] Resource temporarily unavailable\n"
+    assert signal.getsignal(signal.SIGINT) is handler
+    assert len(forks) == 2 and not (tmp_path / "out").exists()
+
+
+def test_sweep_worker_that_cannot_reply_ends_there(synthetic_inputs, tmp_path, capsys, monkeypatch):
+    """A worker whose reply fails is ended and reported; it never returns into its caller."""
+    parent = os.getpid()
+
+    def dumps(*_args, **_kwargs):
+        raise OSError("no pickling here")
+
+    monkeypatch.setenv("CRIT_EVAL_THREADS", "2")
+    monkeypatch.setattr(pickle, "dumps", dumps)
+    status = main(_sweep_three(synthetic_inputs, tmp_path))
+    if os.getpid() != parent:
+        os._exit(99)  # a worker came back into the test
+    assert status == 1
+    _assert_no_child_left()
+    assert capsys.readouterr().err == "error: detector 'a': worker exited with status 1\n"
     assert not (tmp_path / "out").exists()
 
 
