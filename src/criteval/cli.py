@@ -9,7 +9,7 @@ import os
 import pickle
 import sys
 from pathlib import Path
-from typing import Any, Callable, Collection, Sequence
+from typing import Any, Callable, Collection, Mapping, Sequence
 
 from . import metrics, model, render, sweep, synthgen
 from .criticality import CriticalityConfig
@@ -20,14 +20,18 @@ def _parse_floats(text: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise ValueError(f"expected a comma-separated list of numbers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of numbers, got {text!r}") from None
 
 
 def _parse_config(text: str) -> CriticalityConfig:
     values = _parse_floats(text)
     if len(values) != 3:
-        raise ValueError(f"expected dmax,rmax,tmax, got {text!r}")
-    return CriticalityConfig(*values)
+        raise argparse.ArgumentTypeError(f"expected dmax,rmax,tmax, got {text!r}")
+    try:
+        return CriticalityConfig(*values)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _typed(arg: str) -> str:
@@ -64,22 +68,25 @@ def _load_grid(spec: str) -> sweep.ConfigGrid:
         raise model.IngestError(f"$.{exc}") from None
 
 
-def _warn_unknown_frames(dataset: model.Dataset, table: model.DetectionTable, about: str) -> None:
-    unknown = model.ingest_summary(dataset, table)["unknown_frame_ids"]
-    if unknown:
-        more = " ..." if len(unknown) > 5 else ""
-        print(f"warning: {about}{len(unknown)} detection frame_id(s) not present in ground truth "
-              f"(skipped during evaluation): {', '.join(unknown[:5])}{more}", file=sys.stderr)
-
-
-def _require_class(dataset: model.Dataset, tables: list[model.DetectionTable],
-                   class_name: str) -> None:
-    """A class that no input has would score a vacuous 1.0: reject it as a likely typo."""
+def _load_inputs(gt: str, paths: Mapping[str, str], class_name: str, label: str
+                 ) -> tuple[model.Dataset, dict[str, model.DetectionTable]]:
+    """The ground truth and each named results file, each warning of its unknown frames after
+    ``label.format(name)``. A class that no input has would score a vacuous 1.0: it is rejected."""
+    dataset, tables = model.load_ground_truth(gt), {}
+    for name, path in paths.items():
+        tables[name] = model.load_detections(path)
+        unknown = model.ingest_summary(dataset, tables[name])["unknown_frame_ids"]
+        if unknown:
+            more = " ..." if len(unknown) > 5 else ""
+            print(f"warning: {label.format(name)}{len(unknown)} detection frame_id(s) not present "
+                  f"in ground truth (skipped during evaluation): {', '.join(unknown[:5])}{more}",
+                  file=sys.stderr)
     present = {g.class_name for f in dataset.frames for g in f.ground_truth}
-    present.update(*(table.classes for table in tables))
+    present.update(*(table.classes for table in tables.values()))
     if class_name not in present:
         raise ValueError(f"class {class_name!r} is in no ground truth or detection; "
                          f"classes present: {', '.join(sorted(present)) or 'none'}")
+    return dataset, tables
 
 
 def _curve_files(class_name: str, limits: Sequence[float]) -> dict[float, str]:
@@ -102,11 +109,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     class_name = _typed(args.class_name)
     limits = metrics.check_scope(class_name, args.dist_limits, args.max_range)
     curve_files = _curve_files(args.class_name, limits)
-    dataset = model.load_ground_truth(args.gt)
-    detections = model.load_detections(args.pred)
-    _warn_unknown_frames(dataset, detections, "")
-    _require_class(dataset, [detections], class_name)
-    report = metrics.evaluate_detector(dataset, detections, class_name, limits, cfg,
+    dataset, tables = _load_inputs(args.gt, {"": args.pred}, class_name, "")
+    report = metrics.evaluate_detector(dataset, tables[""], class_name, limits, cfg,
                                        ap_style=args.ap_style, max_range=args.max_range)
     out.mkdir(parents=True, exist_ok=True)
     metrics.write_report_json(report, out / "report.json")
@@ -189,16 +193,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if name in paths:
             raise ValueError(f"duplicate detector name {name!r}")
         paths[name] = path
-    dataset = model.load_ground_truth(args.gt)
-    detectors: dict[str, model.DetectionTable] = {}
-    for name, path in paths.items():
-        detectors[name] = model.load_detections(path)
-        _warn_unknown_frames(dataset, detectors[name], f"detector {name!r}: ")
-    _require_class(dataset, list(detectors.values()), class_name)
-    evaluate = lambda name: [tuple(vars(row).values()) for row in sweep.evaluate_sweep(
+    dataset, detectors = _load_inputs(args.gt, paths, class_name, "detector {!r}: ")
+    evaluate = lambda name: sweep.evaluate_sweep(
         dataset, {name: detectors[name]}, grid, args.dist_limits, class_name,
-        ap_style=args.ap_style, max_range=args.max_range)]  # tuples pickle 10x faster than rows
-    rows = [sweep.SweepRow(*r) for part in _fan_out(evaluate, detectors, workers) for r in part]
+        ap_style=args.ap_style, max_range=args.max_range)
+    rows = [row for part in _fan_out(evaluate, detectors, workers) for row in part]
     out.mkdir(parents=True, exist_ok=True)
     sweep.write_sweep_csv(rows, out / "sweep.csv")
     sweep.write_rankings_json(sweep.rankings_report(rows, args.dist_limits), out / "rankings.json")
@@ -275,17 +274,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_birdview(args: argparse.Namespace) -> int:
+    cfg = CriticalityConfig(args.dmax, args.rmax, args.tmax)
+    out = Path(args.out)
+    folder = _out_dir(str(out.parent))
     dataset = model.load_ground_truth(args.gt)
     try:
         frame = dataset.frame(args.frame)
     except KeyError:
         raise ValueError(f"unknown frame_id {args.frame!r}") from None
     dets = model.load_detections(args.pred).in_frame(args.frame) if args.pred else []
-    cfg = CriticalityConfig(args.dmax, args.rmax, args.tmax)
     svg = render.render_birdview(frame, dets, cfg, weight=args.weight)
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    folder.mkdir(parents=True, exist_ok=True)
     out.write_text(svg, encoding="utf-8")
     print(f"bird view written to {out}")
     return 0

@@ -71,22 +71,21 @@ def _ratio(num: np.ndarray, den: np.ndarray | float) -> np.ndarray:
     return num
 
 
-def worker_count(requested: int | None = None) -> int:
-    """Worker processes: explicit argument, else CRIT_EVAL_THREADS, else the usable cores.
+def worker_count() -> int:
+    """Worker processes: CRIT_EVAL_THREADS, at least 1, if it is set, else the usable cores.
 
     ``criteval sweep`` evaluates up to this many detectors at once, one per
     forked process; the library functions run in the calling process.
     """
-    if requested is not None and requested > 0:
-        return requested
     env = os.environ.get("CRIT_EVAL_THREADS")
     if env:
         try:
             value = int(env)
         except ValueError:
             raise ValueError(f"CRIT_EVAL_THREADS must be an integer, got {env!r}") from None
-        if value > 0:
-            return value
+        if value < 1:
+            raise ValueError(f"CRIT_EVAL_THREADS must be at least 1, got {env!r}")
+        return value
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 

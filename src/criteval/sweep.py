@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .criticality import CriticalityConfig
 from .metrics import DEFAULT_EVAL_RANGE, CurveAccumulator, ap_from_arrays, ap_function
@@ -68,8 +68,7 @@ def default_grid() -> ConfigGrid:
 CellKey = tuple[float, float, float, float]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     detector: str
     class_name: str
     distance_limit: float
@@ -153,9 +152,8 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as f:
         writer = csv.writer(f)
         writer.writerow(SWEEP_CSV_HEADER)
-        for r in rows:
-            writer.writerow([r.detector, r.class_name, *map(repr, (
-                r.distance_limit, r.d_max, r.r_max, r.t_max, r.ap, r.ap_crit))])
+        for row in rows:
+            writer.writerow([*row[:2], *map(repr, row[2:])])
 
 
 def _finite_cell(rec: dict[str, str], column: str, where: str, positive: bool = False) -> float:

@@ -178,6 +178,7 @@ def test_evaluate_missing_file_exits_one(tmp_path, capsys):
         ("gt", '{"frames": [], "meta": [1, 2]}', "error: $.meta: expected an object, got [1, 2]\n"),
         ("gt", '{"frames": [], "meta": null}', "error: $.meta: expected an object, got None\n"),
         ("gt", '{"frames": [], "meta": "ab"}', "error: $.meta: expected an object, got 'ab'\n"),
+        ("gt", '{"frames": {}}', "error: $.frames: expected a list\n"),
     ],
 )
 def test_evaluate_schema_error_exits_one(synthetic_inputs, tmp_path, capsys, which, content,
@@ -921,6 +922,8 @@ _CAPS = ["--dmax", "20", "--rmax", "20", "--tmax", "8"]
               ("--max-range", "nan", "max_range must be positive and finite, got nan"),
               ("--class", "", "class_name must be nonempty"),
           )],
+        ("birdview", ["--frame", "f0", "--dmax", "-1", "--rmax", "20", "--tmax", "8"], None,
+         "d_max must be positive and finite, got -1.0"),
     ],
 )
 def test_argument_errors_come_before_any_data_file(tmp_path, capsys, monkeypatch,
@@ -941,6 +944,7 @@ def test_argument_errors_come_before_any_data_file(tmp_path, capsys, monkeypatch
     ("evaluate", ["--gt", "gt.json", "--pred", "a.json", *_CAPS]),
     ("sweep", ["--gt", "gt.json", "--pred", "a.json"]),
     ("generate", ["--spec", "spec.json"]),
+    ("birdview", ["--gt", "gt.json", "--pred", "a.json", "--frame", "f0", *_CAPS]),
 ])
 @pytest.mark.parametrize("below", [False, True])
 def test_out_that_is_no_directory_exits_one_before_any_data_file(tmp_path, capsys, monkeypatch,
@@ -951,9 +955,27 @@ def test_out_that_is_no_directory_exits_one_before_any_data_file(tmp_path, capsy
     afile = tmp_path / "afile"
     afile.write_text("kept")
     out = afile / "sub" if below else afile
-    assert main([command, *args, "--out", str(out)]) == 1
+    target = out / "view.svg" if command == "birdview" else out  # birdview writes a file in out
+    assert main([command, *args, "--out", str(target)]) == 1
     assert capsys.readouterr().err == f"error: --out {str(out)!r}: {str(afile)!r} is not a directory\n"
     assert list(tmp_path.iterdir()) == [afile] and afile.read_text() == "kept"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["evaluate", "--gt", "gt.json", "--pred", "a.json", *_CAPS, "--dist-limits", "abc"],
+     "argument --dist-limits: expected a comma-separated list of numbers, got 'abc'"),
+    (["rank", "--table", "t.csv", "--metric", "ap", "--config", "1,2"],
+     "argument --config: expected dmax,rmax,tmax, got '1,2'"),
+    (["rank", "--table", "t.csv", "--metric", "ap", "--config", "1,x,3"],
+     "argument --config: expected a comma-separated list of numbers, got '1,x,3'"),
+    (["rank", "--table", "t.csv", "--metric", "ap", "--config=-1,2,3"],
+     "argument --config: d_max must be positive and finite, got -1.0"),
+])
+def test_usage_error_gives_the_parse_reason(capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", "out"] if args[0] == "evaluate" else args)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f": error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
@@ -1022,14 +1044,17 @@ def test_sweep_names_the_detector_of_each_unknown_frame_warning(synthetic_inputs
     assert capsys.readouterr().err == f"warning: {text.format(1, 'nosuchframe')}"
 
 
-def test_bad_worker_count_exits_one_before_any_data_file(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("threads, rule", [("zebra", "an integer"), ("0", "at least 1"),
+                                           ("-2", "at least 1")])
+def test_bad_worker_count_exits_one_before_any_data_file(tmp_path, capsys, monkeypatch, threads,
+                                                         rule):
     for name in ("read_json", "load_ground_truth", "load_detections"):
         monkeypatch.setattr(model, name, _read_no_data)
-    monkeypatch.setenv("CRIT_EVAL_THREADS", "zebra")
+    monkeypatch.setenv("CRIT_EVAL_THREADS", threads)
     out = tmp_path / "out"
     assert main(["sweep", "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "a.json"),
                  "--grid", str(tmp_path / "grid.json"), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: CRIT_EVAL_THREADS must be an integer, got 'zebra'\n"
+    assert capsys.readouterr().err == f"error: CRIT_EVAL_THREADS must be {rule}, got {threads!r}\n"
     assert not out.exists()
 
 

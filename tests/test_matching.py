@@ -109,6 +109,9 @@ def frame_contents(draw):
 @given(contents=frame_contents(), limit=st.floats(min_value=0.1, max_value=30.0),
        threshold=st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=300)
+@example(contents=([make_state(object_id="g0", center=(0.109375, 1e-9))],  # hypot is exactly l,
+                   [det((0.0, 0.0), 0.0, "d0")]),  # the square root of the sum one ulp above it
+         limit=0.109375, threshold=0.0)
 def test_partition_counts(contents, limit, threshold):
     gts, preds = contents
     result = match_frame(gts, preds, limit, threshold)
@@ -116,9 +119,7 @@ def test_partition_counts(contents, limit, threshold):
     above = sum(1 for p in preds if p.confidence >= threshold)
     assert len(result.tp) + len(result.fp) == above
     for gt, pred in result.tp:
-        dx = gt.center.x - pred.center.x
-        dy = gt.center.y - pred.center.y
-        assert (dx * dx + dy * dy) ** 0.5 <= limit
+        assert math.hypot(gt.center.x - pred.center.x, gt.center.y - pred.center.y) <= limit
 
 
 @given(contents=frame_contents(), limit=st.floats(min_value=0.1, max_value=30.0),

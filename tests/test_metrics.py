@@ -643,12 +643,29 @@ def test_writers_match_their_oracles_on_kernel_curves(tmp_path):
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("CRIT_EVAL_THREADS", "3")
     assert worker_count() == 3
-    assert worker_count(2) == 2
     monkeypatch.setenv("CRIT_EVAL_THREADS", "zebra")
     with pytest.raises(ValueError):
         worker_count()
     monkeypatch.delenv("CRIT_EVAL_THREADS")
     assert worker_count() >= 1
+
+
+def _unknown_ego_velocity() -> None:
+    ego = dataclasses.replace(make_ego(), velocity=None)
+    CurveAccumulator(Dataset([make_frame(ego=ego)]), [], "car", [1.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (_unknown_ego_velocity, "ego velocity must be known"),
+    (lambda: CurveAccumulator(Dataset([make_frame()]), [], "car", [1.0, 2.0]).curve(CFG),
+     "curve() needs an accumulator of one distance limit"),
+    (lambda: ap_from_arrays("coco", np.zeros(1), np.ones(1)),
+     "ap_style must be one of ('paper', 'devkit'), got 'coco'"),
+])
+def test_guards_against_inputs_built_in_code(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 # Coordinates and velocities that overflow, cancel exactly or are subnormal, plus any finite float.

@@ -195,6 +195,12 @@ def test_confidence_out_of_bounds_rejected(tmp_path):
         load_detections(path)
 
 
+def test_detection_built_in_code_checks_its_confidence():
+    with pytest.raises(ValueError) as caught:
+        Detection("f0", make_state(), 1.5)
+    assert str(caught.value) == "confidence must be in [0, 1], got 1.5"
+
+
 def test_detection_order_preserved_within_frame():
     doc = {
         "results": {
