@@ -68,25 +68,35 @@ def _load_grid(spec: str) -> sweep.ConfigGrid:
         raise model.IngestError(f"$.{exc}") from None
 
 
-def _load_inputs(gt: str, paths: Mapping[str, str], class_name: str, label: str
-                 ) -> tuple[model.Dataset, dict[str, model.DetectionTable]]:
-    """The ground truth and each named results file, each warning of its unknown frames after
-    ``label.format(name)``. A class that no input has would score a vacuous 1.0: it is rejected."""
-    dataset, tables = model.load_ground_truth(gt), {}
-    for name, path in paths.items():
-        tables[name] = model.load_detections(path)
-        unknown = model.ingest_summary(dataset, tables[name])["unknown_frame_ids"]
-        if unknown:
-            more = " ..." if len(unknown) > 5 else ""
-            print(f"warning: {label.format(name)}{len(unknown)} detection frame_id(s) not present "
-                  f"in ground truth (skipped during evaluation): {', '.join(unknown[:5])}{more}",
-                  file=sys.stderr)
-    present = {g.class_name for f in dataset.frames for g in f.ground_truth}
-    present.update(*(table.classes for table in tables.values()))
+def _load_each(dataset: model.Dataset, paths: Mapping[str, str], class_name: str, label: str,
+               use: Callable[[str, Any], Any], workers: int) -> dict[str, Any]:
+    """``use(name, table)`` of each results file, loaded in its worker; then, in ``paths`` order, the
+    unknown-frame warnings and the first load error, after ``label.format(name)``. A class that no
+    input has (a vacuous 1.0) is rejected before any use; a table without it is used empty."""
+    gt_classes = {g.class_name for f in dataset.frames for g in f.ground_truth}
+
+    def load(name: str) -> tuple[str, str, Collection[str], Any]:
+        try:
+            table = model.load_detections(paths[name])
+        except (OSError, ValueError) as exc:
+            return "", f"{label.format(name)}{exc}", (), None
+        unknown = model.ingest_summary(dataset, table)["unknown_frame_ids"]
+        more = " ..." if len(unknown) > 5 else ""
+        warning = (f"warning: {label.format(name)}{len(unknown)} detection frame_id(s) not present in "
+                   f"ground truth (skipped during evaluation): {', '.join(unknown[:5])}{more}\n")
+        used = use(name, table) if class_name in gt_classes.union(table.classes) else None
+        return warning if unknown else "", "", table.classes, used
+
+    replies = dict(zip(sorted(paths), _fan_out(load, paths, workers)))
+    for warning, error, _, _ in map(replies.__getitem__, paths):
+        sys.stderr.write(warning)
+        if error:
+            raise ValueError(error)
+    present = gt_classes.union(*(classes for _, _, classes, _ in replies.values()))
     if class_name not in present:
         raise ValueError(f"class {class_name!r} is in no ground truth or detection; "
                          f"classes present: {', '.join(sorted(present)) or 'none'}")
-    return dataset, tables
+    return {name: use(name, []) if used is None else used for name, (*_, used) in replies.items()}
 
 
 def _curve_files(class_name: str, limits: Sequence[float]) -> dict[float, str]:
@@ -109,8 +119,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     class_name = _typed(args.class_name)
     limits = metrics.check_scope(class_name, args.dist_limits, args.max_range)
     curve_files = _curve_files(args.class_name, limits)
-    dataset, tables = _load_inputs(args.gt, {"": args.pred}, class_name, "")
-    report = metrics.evaluate_detector(dataset, tables[""], class_name, limits, cfg,
+    dataset = model.load_ground_truth(args.gt)
+    table = _load_each(dataset, {"": args.pred}, class_name, "", lambda _, table: table, 1)[""]
+    report = metrics.evaluate_detector(dataset, table, class_name, limits, cfg,
                                        ap_style=args.ap_style, max_range=args.max_range)
     out.mkdir(parents=True, exist_ok=True)
     metrics.write_report_json(report, out / "report.json")
@@ -193,15 +204,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if name in paths:
             raise ValueError(f"duplicate detector name {name!r}")
         paths[name] = path
-    dataset, detectors = _load_inputs(args.gt, paths, class_name, "detector {!r}: ")
-    evaluate = lambda name: sweep.evaluate_sweep(
-        dataset, {name: detectors[name]}, grid, args.dist_limits, class_name,
+    dataset = model.load_ground_truth(args.gt)
+    evaluate = lambda name, table: sweep.evaluate_sweep(
+        dataset, {name: table}, grid, args.dist_limits, class_name,
         ap_style=args.ap_style, max_range=args.max_range)
-    rows = [row for part in _fan_out(evaluate, detectors, workers) for row in part]
+    parts = _load_each(dataset, paths, class_name, "detector {!r}: ", evaluate, workers)
+    rows = [row for part in parts.values() for row in part]
     out.mkdir(parents=True, exist_ok=True)
     sweep.write_sweep_csv(rows, out / "sweep.csv")
     sweep.write_rankings_json(sweep.rankings_report(rows, args.dist_limits), out / "rankings.json")
-    print(f"swept {len(detectors)} detector(s) x {len(args.dist_limits)} limit(s) x "
+    print(f"swept {len(parts)} detector(s) x {len(args.dist_limits)} limit(s) x "
           f"{len(grid)} config(s) -> {len(rows)} rows")
     print(f"table written to {out / 'sweep.csv'}; rankings to {out / 'rankings.json'}")
     return 0
@@ -277,6 +289,8 @@ def _cmd_birdview(args: argparse.Namespace) -> int:
     cfg = CriticalityConfig(args.dmax, args.rmax, args.tmax)
     out = Path(args.out)
     folder = _out_dir(str(out.parent))
+    if out.is_dir():
+        raise ValueError(f"--out {args.out!r} is a directory; it names the SVG file to write")
     dataset = model.load_ground_truth(args.gt)
     try:
         frame = dataset.frame(args.frame)

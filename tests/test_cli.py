@@ -380,7 +380,8 @@ def test_string_or_boolean_number_exits_one(synthetic_inputs, tmp_path, capsys,
     out = tmp_path / "out"
     code = main([command, "--gt", str(gt), "--pred", str(pred), *args, "--out", str(out)])
     assert code == 1
-    assert f"error: $.results['f0'][0].{message}\n" in capsys.readouterr().err
+    label = "detector 'bad': " if command == "sweep" else ""  # a sweep names the results file
+    assert capsys.readouterr().err == f"error: {label}$.results['f0'][0].{message}\n"
     assert not out.exists()
 
 
@@ -864,7 +865,8 @@ def test_deeply_nested_json_exits_one_naming_the_file(synthetic_inputs, tmp_path
     paths[which] = str(deep)
     assert main(["sweep", "--gt", paths["gt"], "--pred", paths["pred"], "--grid", paths["grid"],
                  "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+    label = "detector 'deep': " if which == "pred" else ""
+    assert capsys.readouterr().err == f"error: {label}{deep}: JSON nested too deeply\n"
 
 
 UNDECODABLE = "'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"
@@ -959,6 +961,17 @@ def test_out_that_is_no_directory_exits_one_before_any_data_file(tmp_path, capsy
     assert main([command, *args, "--out", str(target)]) == 1
     assert capsys.readouterr().err == f"error: --out {str(out)!r}: {str(afile)!r} is not a directory\n"
     assert list(tmp_path.iterdir()) == [afile] and afile.read_text() == "kept"
+
+
+def test_birdview_out_that_is_a_directory_exits_one_before_any_data_file(tmp_path, capsys,
+                                                                        monkeypatch):
+    for name in ("load_ground_truth", "load_detections"):
+        monkeypatch.setattr(model, name, _read_no_data)
+    assert main(["birdview", "--gt", "gt.json", "--pred", "a.json", "--frame", "f0", *_CAPS,
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --out {str(tmp_path)!r} is a directory; it names the SVG file to write\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args, message", [
@@ -1118,6 +1131,72 @@ def test_sweep_bytes_do_not_depend_on_workers_or_pred_order(sweep_corpus, tmp_pa
     assert outputs[0] == outputs[1] == outputs[2]
     rows = sweep.read_sweep_csv(tmp_path / "out0" / "sweep.csv")
     assert [row.detector for row in rows[::len(rows) // 3]] == ["farblind", "nearblind", "twin"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_workers_read_the_results_files(sweep_corpus, tmp_path, monkeypatch, threads):
+    """At several workers the calling process reads only the ground truth."""
+    load_detections, readers = model.load_detections, []
+
+    def recorded(path):
+        readers.append(os.getpid())  # a forked worker appends to its own copy
+        return load_detections(path)
+
+    monkeypatch.setattr(model, "load_detections", recorded)
+    monkeypatch.setenv("CRIT_EVAL_THREADS", threads)
+    assert main(["sweep", "--gt", str(sweep_corpus / "gt.json"),
+                 "--pred", str(sweep_corpus / "farblind.json"),
+                 "--pred", str(sweep_corpus / "nearblind.json"),
+                 "--grid", str(_small_grid(tmp_path)), "--out", str(tmp_path / "out")]) == 0
+    _assert_no_child_left()
+    assert readers == ([os.getpid()] * 2 if threads == "1" else [])
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_warns_then_raises_the_first_load_error_in_pred_order(synthetic_inputs, tmp_path,
+                                                                    capsys, monkeypatch, threads):
+    gt, pred = synthetic_inputs
+    data = json.loads(pred.read_text())
+    data["results"]["ghost"] = next(iter(data["results"].values()))[:1]
+    (tmp_path / "z.json").write_text(json.dumps(data))
+    (tmp_path / "y.json").write_text('{"results": []}')
+    monkeypatch.setenv("CRIT_EVAL_THREADS", threads)
+    out = tmp_path / "out"
+    # a sorts first by name, and its file does not exist, yet y's error is the one reported
+    assert main(["sweep", "--gt", str(gt), "--pred", f"z={tmp_path / 'z.json'}",
+                 "--pred", f"y={tmp_path / 'y.json'}", "--pred", f"a={tmp_path / 'a.json'}",
+                 "--grid", str(_small_grid(tmp_path)), "--out", str(out)]) == 1
+    _assert_no_child_left()
+    assert capsys.readouterr().err == (
+        "warning: detector 'z': 1 detection frame_id(s) not present in ground truth "
+        "(skipped during evaluation): ghost\n"
+        "error: detector 'y': $.results: expected an object keyed by frame_id\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_of_a_class_one_results_file_holds_matches_the_library(synthetic_inputs, tmp_path,
+                                                                     monkeypatch, threads):
+    """A detector without the class scores as the library scores its whole table."""
+    gt, pred = synthetic_inputs
+    doc = json.loads(pred.read_text())
+    for frame in list(doc["results"])[:2]:
+        doc["results"][frame][0]["class"] = "van"
+    vans = tmp_path / "vans.json"
+    vans.write_text(json.dumps(doc))
+    monkeypatch.setenv("CRIT_EVAL_THREADS", threads)
+    out = tmp_path / "out"
+    assert main(["sweep", "--gt", str(gt), "--pred", f"cars={pred}", "--pred", f"vans={vans}",
+                 "--class", "van", "--grid", str(_small_grid(tmp_path)), "--out", str(out)]) == 0
+    _assert_no_child_left()
+    tables = {"cars": model.load_detections(pred), "vans": model.load_detections(vans)}
+    limits = distance_limits_default()
+    rows = sweep.evaluate_sweep(model.load_ground_truth(gt), tables,
+                                sweep.ConfigGrid((10.0, 20.0), (20.0,), (4.0, 8.0)), limits, "van")
+    sweep.write_sweep_csv(rows, tmp_path / "sweep.csv")
+    sweep.write_rankings_json(sweep.rankings_report(rows, limits), tmp_path / "rankings.json")
+    for name in ("sweep.csv", "rankings.json"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def _sweep_three(synthetic_inputs, tmp_path: Path) -> list[str]:
