@@ -68,35 +68,34 @@ def _load_grid(spec: str) -> sweep.ConfigGrid:
         raise model.IngestError(f"$.{exc}") from None
 
 
-def _load_each(dataset: model.Dataset, paths: Mapping[str, str], class_name: str, label: str,
-               use: Callable[[str, Any], Any], workers: int) -> dict[str, Any]:
-    """``use(name, table)`` of each results file, loaded in its worker; then, in ``paths`` order, the
-    unknown-frame warnings and the first load error, after ``label.format(name)``. A class that no
-    input has (a vacuous 1.0) is rejected before any use; a table without it is used empty."""
-    gt_classes = {g.class_name for f in dataset.frames for g in f.ground_truth}
-
-    def load(name: str) -> tuple[str, str, Collection[str], Any]:
+def _load_results(dataset: model.Dataset, paths: Mapping[str, str], class_name: str,
+                  workers: int) -> dict[str, model.DetectionTable]:
+    """The table of each results file, loaded in up to ``workers`` forked processes; then, in ``paths``
+    order, each unknown-frame warning and the first load error, after ``detector {name!r}: `` for a
+    named file. A class that no input has (a vacuous 1.0) is rejected."""
+    def load(name: str) -> model.DetectionTable | str:
         try:
-            table = model.load_detections(paths[name])
+            return model.load_detections(paths[name])
         except (OSError, ValueError) as exc:
-            return "", f"{label.format(name)}{exc}", (), None
-        unknown = model.ingest_summary(dataset, table)["unknown_frame_ids"]
-        more = " ..." if len(unknown) > 5 else ""
-        warning = (f"warning: {label.format(name)}{len(unknown)} detection frame_id(s) not present in "
-                   f"ground truth (skipped during evaluation): {', '.join(unknown[:5])}{more}\n")
-        used = use(name, table) if class_name in gt_classes.union(table.classes) else None
-        return warning if unknown else "", "", table.classes, used
+            return str(exc)
 
-    replies = dict(zip(sorted(paths), _fan_out(load, paths, workers)))
-    for warning, error, _, _ in map(replies.__getitem__, paths):
-        sys.stderr.write(warning)
-        if error:
-            raise ValueError(error)
-    present = gt_classes.union(*(classes for _, _, classes, _ in replies.values()))
+    tables = _fan_out(load, paths, workers)
+    for name in paths:
+        label, table = f"detector {name!r}: " if name else "", tables[name]
+        if isinstance(table, str):
+            raise ValueError(label + table)
+        unknown = model.ingest_summary(dataset, table)["unknown_frame_ids"]
+        if unknown:
+            more = " ..." if len(unknown) > 5 else ""
+            sys.stderr.write(f"warning: {label}{len(unknown)} detection frame_id(s) not present in "
+                             "ground truth (skipped during evaluation): "
+                             f"{', '.join(unknown[:5])}{more}\n")
+    present = {g.class_name for f in dataset.frames for g in f.ground_truth}.union(
+        *(table.classes for table in tables.values()))
     if class_name not in present:
         raise ValueError(f"class {class_name!r} is in no ground truth or detection; "
                          f"classes present: {', '.join(sorted(present)) or 'none'}")
-    return {name: use(name, []) if used is None else used for name, (*_, used) in replies.items()}
+    return tables
 
 
 def _curve_files(class_name: str, limits: Sequence[float]) -> dict[float, str]:
@@ -120,7 +119,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     limits = metrics.check_scope(class_name, args.dist_limits, args.max_range)
     curve_files = _curve_files(args.class_name, limits)
     dataset = model.load_ground_truth(args.gt)
-    table = _load_each(dataset, {"": args.pred}, class_name, "", lambda _, table: table, 1)[""]
+    table = _load_results(dataset, {"": args.pred}, class_name, 1)[""]
     report = metrics.evaluate_detector(dataset, table, class_name, limits, cfg,
                                        ap_style=args.ap_style, max_range=args.max_range)
     out.mkdir(parents=True, exist_ok=True)
@@ -136,10 +135,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fan_out(fn: Callable[[str], Any], names: Collection[str], workers: int) -> list[Any]:
-    """``[fn(name) for name in sorted(names)]`` in up to ``workers`` forked processes."""
+def _fan_out(fn: Callable[[str], Any], names: Collection[str], workers: int) -> dict[str, Any]:
+    """``{name: fn(name) for name in sorted(names)}`` in up to ``workers`` forked processes."""
     if min(workers, len(names)) <= 1 or not hasattr(os, "fork"):
-        return [fn(name) for name in sorted(names)]
+        return {name: fn(name) for name in sorted(names)}
     import select
     import signal
     import traceback
@@ -186,7 +185,7 @@ def _fan_out(fn: Callable[[str], Any], names: Collection[str], workers: int) -> 
     for value, trace in (replies[name] for name in sorted(replies)):
         if isinstance(value, BaseException):
             raise value from RuntimeError(f"in the worker:\n{trace}") if trace else None
-    return [replies[name][0] for name in sorted(replies)]
+    return {name: replies[name][0] for name in sorted(replies)}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -205,10 +204,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"duplicate detector name {name!r}")
         paths[name] = path
     dataset = model.load_ground_truth(args.gt)
-    evaluate = lambda name, table: sweep.evaluate_sweep(
-        dataset, {name: table}, grid, args.dist_limits, class_name,
-        ap_style=args.ap_style, max_range=args.max_range)
-    parts = _load_each(dataset, paths, class_name, "detector {!r}: ", evaluate, workers)
+    tables = _load_results(dataset, paths, class_name, workers)
+    parts = _fan_out(lambda name: sweep.evaluate_sweep(  # the workers inherit the tables
+        dataset, {name: tables[name]}, grid, args.dist_limits, class_name,
+        ap_style=args.ap_style, max_range=args.max_range), tables, workers)
     rows = [row for part in parts.values() for row in part]
     out.mkdir(parents=True, exist_ok=True)
     sweep.write_sweep_csv(rows, out / "sweep.csv")

@@ -189,12 +189,12 @@ class DetectionTable(Sequence[Detection]):
 
 def _table(frame_ids: list[str], offsets: list[int], codes: dict[str, int],
            class_index: list[int], numbers: Any, velocity: Any, known: Any) -> DetectionTable:
-    """The table of rows of (x, y, width, length, yaw, confidence) and of (vx, vy)."""
-    num = np.reshape(np.asarray(numbers, dtype=np.float64), (-1, 6))
-    vel = np.reshape(np.asarray(velocity, dtype=np.float64), (-1, 2))
+    """The table of rows of (x, y, width, length, yaw, confidence) and of (vx, vy); each column is
+    one contiguous row of a ``(6, N)`` or ``(2, N)`` block, so a pickled table loads back read-only."""
+    num = np.reshape(np.asarray(numbers, dtype=np.float64), (-1, 6)).T.copy()
+    vel = np.reshape(np.asarray(velocity, dtype=np.float64), (-1, 2)).T.copy()
     columns = (np.array(offsets, dtype=np.intp), np.array(class_index, dtype=np.intp),
-               num[:, 0], num[:, 1], vel[:, 0], vel[:, 1], np.array(known, dtype=bool),
-               *num[:, 2:].T)
+               num[0], num[1], vel[0], vel[1], np.array(known, dtype=bool), *num[2:])
     for column in columns:
         column.flags.writeable = False
     return DetectionTable(tuple(frame_ids), columns[0], tuple(codes), *columns[1:])

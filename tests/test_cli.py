@@ -1135,14 +1135,20 @@ def test_sweep_bytes_do_not_depend_on_workers_or_pred_order(sweep_corpus, tmp_pa
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_sweep_workers_read_the_results_files(sweep_corpus, tmp_path, monkeypatch, threads):
-    """At several workers the calling process reads only the ground truth."""
+    """At several workers the calling process reads only the ground truth and evaluates nothing."""
     load_detections, readers = model.load_detections, []
+    evaluate_sweep, evaluators = sweep.evaluate_sweep, []
 
     def recorded(path):
         readers.append(os.getpid())  # a forked worker appends to its own copy
         return load_detections(path)
 
+    def evaluated(*args, **kwargs):
+        evaluators.append(os.getpid())
+        return evaluate_sweep(*args, **kwargs)
+
     monkeypatch.setattr(model, "load_detections", recorded)
+    monkeypatch.setattr(sweep, "evaluate_sweep", evaluated)
     monkeypatch.setenv("CRIT_EVAL_THREADS", threads)
     assert main(["sweep", "--gt", str(sweep_corpus / "gt.json"),
                  "--pred", str(sweep_corpus / "farblind.json"),
@@ -1150,6 +1156,62 @@ def test_sweep_workers_read_the_results_files(sweep_corpus, tmp_path, monkeypatc
                  "--grid", str(_small_grid(tmp_path)), "--out", str(tmp_path / "out")]) == 0
     _assert_no_child_left()
     assert readers == ([os.getpid()] * 2 if threads == "1" else [])
+    assert evaluators == ([os.getpid()] * 2 if threads == "1" else [])
+
+
+def _with_unknown_frame(pred: Path, path: Path, frame: str) -> Path:
+    """``pred`` written to ``path`` with one more detection, in a frame the ground truth lacks."""
+    data = json.loads(pred.read_text())
+    data["results"][frame] = next(iter(data["results"].values()))[:1]
+    path.write_text(json.dumps(data))
+    return path
+
+
+_UNKNOWN = ("warning: detector {!r}: 1 detection frame_id(s) not present in ground truth "
+            "(skipped during evaluation): {}\n")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_reports_a_load_error_before_any_evaluation(synthetic_inputs, tmp_path, capsys,
+                                                           monkeypatch, threads):
+    gt, pred = synthetic_inputs
+    evaluate_sweep, log = sweep.evaluate_sweep, tmp_path / "evaluated.txt"
+
+    def recorded(dataset, detectors, *args, **kwargs):
+        with open(log, "a", encoding="utf-8") as file:  # a worker's list would not reach the test
+            file.writelines(f"{name}\n" for name in detectors)
+        return evaluate_sweep(dataset, detectors, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "evaluate_sweep", recorded)
+    monkeypatch.setenv("CRIT_EVAL_THREADS", threads)
+    (tmp_path / "bad.json").write_text('{"results": []}')
+    out = tmp_path / "out"
+    assert main(["sweep", "--gt", str(gt),
+                 "--pred", f"a={_with_unknown_frame(pred, tmp_path / 'a.json', 'ghost')}",
+                 "--pred", f"bad={tmp_path / 'bad.json'}", "--pred", f"b={pred}",
+                 "--grid", str(_small_grid(tmp_path)), "--out", str(out)]) == 1
+    _assert_no_child_left()
+    assert not log.exists()
+    assert capsys.readouterr().err == (
+        _UNKNOWN.format("a", "ghost")
+        + "error: detector 'bad': $.results: expected an object keyed by frame_id\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_warns_before_an_evaluation_error(synthetic_inputs, tmp_path, capsys, monkeypatch,
+                                                threads):
+    gt, pred = synthetic_inputs
+    preds = [arg for name in "ab" for arg in (
+        "--pred", f"{name}={_with_unknown_frame(pred, tmp_path / f'{name}.json', name + 'ghost')}")]
+    monkeypatch.setenv("CRIT_EVAL_THREADS", threads)
+    _patch_detector_sweep(monkeypatch, b=_raise("b is broken"))
+    assert main(["sweep", "--gt", str(gt), *preds, "--grid", str(_small_grid(tmp_path)),
+                 "--out", str(tmp_path / "out")]) == 1
+    _assert_no_child_left()
+    assert capsys.readouterr().err == (
+        _UNKNOWN.format("a", "aghost") + _UNKNOWN.format("b", "bghost") + "error: b is broken\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

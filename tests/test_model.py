@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import math
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -408,6 +409,26 @@ def test_detection_table_builds_each_detection_on_demand(tmp_path):
     path.write_text(json.dumps(doc))
     assert model._columns(doc) is None
     assert repr(list(load_detections(path))) == repr(detections_from_dict(doc))
+
+
+@pytest.mark.parametrize("loader", ["columns", "objects"])
+def test_table_keeps_read_only_columns_across_a_pipe(loader):
+    """A table pickled as a worker sends it loads back equal, with every column read-only."""
+    dataset = gen_dataset(random_scenario_spec(seed=4, n_frames=3))
+    doc = detections_to_dict(corrupt(dataset, ErrorModel(fp_rate_per_frame=2.0), seed=5))
+    for entries in doc["results"].values():
+        entries[0]["velocity"] = None
+    table = (model._columns(doc) if loader == "columns"
+             else DetectionTable.of(detections_from_dict(doc)))
+    assert table is not None and np.isnan(table.vx).any() and len(table) > 3
+    loaded = pickle.loads(pickle.dumps(table, pickle.HIGHEST_PROTOCOL))
+    assert (loaded.frame_ids, loaded.classes) == (table.frame_ids, table.classes)
+    for column in ("offsets", "class_index", "x", "y", "vx", "vy", "velocity_known", "width",
+                   "length", "yaw", "confidence"):
+        value = getattr(loaded, column)
+        assert value.dtype == getattr(table, column).dtype
+        assert np.array_equal(value, getattr(table, column), equal_nan=True), column
+        assert not value.flags.writeable, column
 
 
 # Valid results documents, then values a results file may hold in any place.
