@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import math
 import os
 import pickle
 import sys
@@ -69,10 +70,11 @@ def _load_grid(spec: str) -> sweep.ConfigGrid:
 
 
 def _load_results(dataset: model.Dataset, paths: Mapping[str, str], class_name: str,
-                  workers: int) -> dict[str, model.DetectionTable]:
+                  max_range: float, workers: int) -> dict[str, model.DetectionTable]:
     """The table of each results file, loaded in up to ``workers`` forked processes; then, in ``paths``
     order, each unknown-frame warning and the first load error, after ``detector {name!r}: `` for a
-    named file. A class that no input has (a vacuous 1.0) is rejected."""
+    named file. A class that no input has (a vacuous 1.0) is rejected; one with no ground truth
+    within ``max_range`` of its frame's ego, which ranks nothing either, is warned of."""
     def load(name: str) -> model.DetectionTable | str:
         try:
             return model.load_detections(paths[name])
@@ -95,6 +97,10 @@ def _load_results(dataset: model.Dataset, paths: Mapping[str, str], class_name: 
     if class_name not in present:
         raise ValueError(f"class {class_name!r} is in no ground truth or detection; "
                          f"classes present: {', '.join(sorted(present)) or 'none'}")
+    if not any(math.dist(g.center, f.ego.center) <= max_range  # CurveAccumulator's range rule
+               for f in dataset.frames for g in f.ground_truth if g.class_name == class_name):
+        sys.stderr.write(f"warning: class {class_name!r} has no ground truth within {max_range:g} m "
+                         "of the ego; recall is vacuous, so AP and AP_crit rank nothing\n")
     return tables
 
 
@@ -119,7 +125,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     limits = metrics.check_scope(class_name, args.dist_limits, args.max_range)
     curve_files = _curve_files(args.class_name, limits)
     dataset = model.load_ground_truth(args.gt)
-    table = _load_results(dataset, {"": args.pred}, class_name, 1)[""]
+    table = _load_results(dataset, {"": args.pred}, class_name, args.max_range, 1)[""]
     report = metrics.evaluate_detector(dataset, table, class_name, limits, cfg,
                                        ap_style=args.ap_style, max_range=args.max_range)
     out.mkdir(parents=True, exist_ok=True)
@@ -204,7 +210,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"duplicate detector name {name!r}")
         paths[name] = path
     dataset = model.load_ground_truth(args.gt)
-    tables = _load_results(dataset, paths, class_name, workers)
+    tables = _load_results(dataset, paths, class_name, args.max_range, workers)
     parts = _fan_out(lambda name: sweep.evaluate_sweep(  # the workers inherit the tables
         dataset, {name: tables[name]}, grid, args.dist_limits, class_name,
         ap_style=args.ap_style, max_range=args.max_range), tables, workers)
@@ -326,9 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate one detector and write report + curves")
     p.add_argument("--gt", required=True, help="ground-truth JSON")
     p.add_argument("--pred", required=True, help="detection-results JSON")
-    p.add_argument("--dmax", type=float, required=True)
-    p.add_argument("--rmax", type=float, required=True)
-    p.add_argument("--tmax", type=float, required=True)
+    for cap in ("--dmax", "--rmax", "--tmax"):
+        p.add_argument(cap, type=float, required=True)
     _add_common_eval_args(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=_cmd_evaluate)
@@ -366,9 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", default=None)
     p.add_argument("--frame", required=True, type=_typed)
     p.add_argument("--weight", choices=list(render.WEIGHT_NAMES), default="kappa")
-    p.add_argument("--dmax", type=float, required=True)
-    p.add_argument("--rmax", type=float, required=True)
-    p.add_argument("--tmax", type=float, required=True)
+    for cap in ("--dmax", "--rmax", "--tmax"):
+        p.add_argument(cap, type=float, required=True)
     p.add_argument("--out", required=True, help="output SVG path")
     p.set_defaults(fn=_cmd_birdview)
 

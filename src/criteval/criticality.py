@@ -43,6 +43,8 @@ class CriticalityConfig:
         for name, value in (("d_max", self.d_max), ("r_max", self.r_max), ("t_max", self.t_max)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+            if not 0.0 < value * value < math.inf:  # the parabolas divide by it
+                raise ValueError(f"{name} must have a positive finite square, got {value}")
 
 
 @dataclass(frozen=True)

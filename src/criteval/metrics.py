@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -549,7 +549,6 @@ def evaluate_detector(
     )
 
 
-_CHUNK_ROWS = 4096
 _CSV_HEADER = b"threshold,precision,recall,p_r,r_s\r\n"
 _CSV_ROW = "%.6f,%.6f,%.6f,%.6f,%.6f\r\n"
 
@@ -584,8 +583,8 @@ def write_curve_csv(arrays: Sequence[np.ndarray], path: str | Path) -> None:
     """One row per operating point of the CURVE_FIELDS arrays, six decimals."""
     with open(path, "wb") as f:
         f.write(_CSV_HEADER)
-        for start in range(0, len(arrays[0]), _CHUNK_ROWS):
-            f.write(_csv_rows(np.column_stack([a[start:start + _CHUNK_ROWS] for a in arrays])))
+        for start in range(0, len(arrays[0]), model._CHUNK_ROWS):
+            f.write(_csv_rows(np.column_stack([a[start:start + model._CHUNK_ROWS] for a in arrays])))
 
 
 def _reprs(values: np.ndarray) -> np.ndarray:
@@ -602,14 +601,8 @@ def write_report_json(report: EvaluationReport, path: str | Path) -> None:
     Curve values are finite, so their ``repr`` is what ``json`` writes. The
     limits of a report share one threshold array, whose text is built once.
     """
-    thresholds: list = [None, None]
-
-    def rows(arrays: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
-        if thresholds[0] is not arrays[0]:
-            thresholds[:] = arrays[0], _reprs(arrays[0])
-        texts = dict(zip(CURVE_FIELDS[1:], map(_reprs, arrays[1:])), threshold=thresholds[1])
-        for start in range(0, len(arrays[0]), _CHUNK_ROWS):
-            yield np.column_stack([texts[k][start:start + _CHUNK_ROWS] for k in sorted(texts)])
-
-    model.dump_json(report._as_dict([None] * len(report.results)), path, "curve",
-                    (model.json_records(CURVE_FIELDS, rows(res.arrays), 8) for res in report.results))
+    arrays = {id(res.arrays[0]): res.arrays[0] for res in report.results}
+    thresholds = {key: _reprs(values) for key, values in arrays.items()}
+    fills = (dict(zip(CURVE_FIELDS, [thresholds[id(res.arrays[0])], *map(_reprs, res.arrays[1:])]))
+             for res in report.results)
+    model.dump_json(report._as_dict([None] * len(report.results)), path, "curve", fills)

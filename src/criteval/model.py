@@ -42,7 +42,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -456,38 +456,40 @@ def detections_to_dict(detections: Iterable[Detection]) -> dict[str, Any]:
     return {"results": results}
 
 
-def json_records(keys: Iterable[str], chunks: Iterable[Any], indent: int) -> Iterator[str]:
-    """``json.dumps(indent=2, sort_keys=True)``'s text of a list of flat objects whose items sit
-    ``indent`` spaces deep. Each chunk holds rows of value texts, one per key in sorted order."""
-    pad = "\n" + " " * indent
-    fields = ",".join(f'{pad}  "{k}": %s' for k in sorted(keys))
-    pieces = f",{pad}{{{fields}{pad}}}".split("%s")
-    yield "["
-    lead = 1  # the first item has no comma before it
-    for chunk in chunks:
-        if len(chunk):
-            block = np.empty((len(chunk), 2 * len(pieces) - 1), dtype=object)
-            block[:, 0::2], block[:, 1::2] = pieces, chunk
-            yield "".join(block.ravel().tolist())[lead:]
-            lead = 0
-    yield "]" if lead else pad[:-2] + "]"
+_CHUNK_ROWS = 1024  # rows that a streamed writer formats at a time
 
 
 def dump_json(data: Any, path: str | Path, key: str | None = None,
-              fills: Iterable[Iterable[str]] = ()) -> None:
-    """Write JSON with a byte-deterministic layout. With ``key``, the value of the n-th
-    ``"key": null`` is the n-th fill's pieces; only such a value is an unquoted
-    ``"key": null``, as ``json`` escapes ``"`` in strings."""
+              fills: Iterable[Mapping[str, Sequence[str]]] = ()) -> None:
+    """Write ``json.dump(data, indent=2, sort_keys=True)``'s text and a newline.
+
+    With ``key``, the n-th ``"key": null`` is written as a list of flat objects,
+    ``_CHUNK_ROWS`` at a time: the n-th fill maps each field to its column of
+    value texts, and the i-th object holds each column's i-th text. Only such a
+    value is an unquoted ``"key": null``, as ``json`` escapes ``"`` in strings.
+    """
     with open(path, "w") as f:
         if key is None:
             json.dump(data, f, indent=2, sort_keys=True)
         else:
-            head, *rests = json.dumps(data, indent=2, sort_keys=True).split(f'"{key}": null')
-            f.write(head)
-            for fill, rest in zip(fills, rests):
-                f.write(f'"{key}": ')
-                f.writelines(fill)
-                f.write(rest)
+            parts = json.dumps(data, indent=2, sort_keys=True).split(f'"{key}": null')
+            fills = iter(fills)
+            f.write(parts[0])
+            for before, rest in zip(parts, parts[1:]):
+                fill = next(fills)
+                # The objects sit two spaces deeper than "key"; NUL is in no JSON text.
+                pad, names = "\n" + " " * (len(before) - before.rfind("\n") + 1), sorted(fill)
+                fields = "\0,".join(f"{pad}  {json.dumps(k)}: " for k in names)
+                pieces = np.array(f",{pad}{{{fields}\0{pad}}}".split("\0"), dtype=object)[:, None]
+                n = min(map(len, fill.values()), default=0)
+                f.write(f'"{key}": [')
+                for start in range(0, n, _CHUNK_ROWS):
+                    rows = [fill[k][start:start + _CHUNK_ROWS] for k in names]
+                    block = np.empty((len(pieces) + len(rows), len(rows[0])), dtype=object)
+                    block[0::2], block[1::2] = pieces, rows
+                    f.write("".join(block.T.ravel().tolist())[0 if start else 1:])  # no first comma
+                f.write(f"{pad[:-2] if n else ''}]{rest}")
+                fill = rows = None  # let go before the next fill is built
         f.write("\n")
 
 

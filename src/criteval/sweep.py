@@ -29,7 +29,6 @@ from . import model
 from .model import Dataset, Detection, IngestError
 
 SWEEP_CSV_HEADER = ["detector", "class", "l", "d_max", "r_max", "t_max", "ap", "ap_crit"]
-_RANKING_ROWS = 256  # rankings.json entries formatted at a time
 
 
 @dataclass(frozen=True)
@@ -47,6 +46,9 @@ class ConfigGrid:
                 if not low < value < math.inf:
                     raise ValueError(f"{name}[{i}]: expected a finite value greater than "
                                      f"{low!r}, got {value!r}")
+                if not 0.0 < value * value < math.inf:  # as CriticalityConfig checks each cap
+                    raise ValueError(f"{name}[{i}]: expected a value with a positive finite "
+                                     f"square, got {value!r}")
 
     def __len__(self) -> int:
         return len(self.d_values) * len(self.r_values) * len(self.t_values)
@@ -225,19 +227,13 @@ def rankings_report(rows: Sequence[SweepRow], dist_limits: Sequence[float]) -> d
 
 
 def write_rankings_json(report: Mapping[str, Any], path: str | Path) -> None:
-    """``model.dump_json(report, path)`` byte for byte for a ``rankings_report``, streamed.
+    """``model.dump_json(report, path)`` byte for byte for a ``rankings_report``, streamed."""
+    texts: dict[str, str] = {}  # by repr: each distinct value is encoded once, its text shared
 
-    Each distinct detector order is encoded once.
-    """
-    num = lambda v: repr(v) if type(v) is float and math.isfinite(v) else json.dumps(v)
-    orders: dict[tuple[str, ...], str] = {}
-    order = lambda names: orders.get(tuple(names)) or orders.setdefault(
-        tuple(names), json.dumps(names, indent=2).replace("\n", "\n      "))
+    def text(value: Any) -> str:  # a detector order's names sit 8 spaces deep
+        return texts.get(key := repr(value)) or texts.setdefault(
+            key, json.dumps(value, indent=2).replace("\n", "\n      "))
+
     entries = report["per_config"]
-    rows = ([(num(c["d_max"]), num(c["l"]), str(c["max_displacement"]), str(c["n_moved"]),
-              order(c["order_ap"]), order(c["order_ap_crit"]), num(c["r_max"]), num(c["t_max"]))
-             for c in entries[start:start + _RANKING_ROWS]]
-            for start in range(0, len(entries), _RANKING_ROWS))
-    keys = "d_max", "l", "max_displacement", "n_moved", "order_ap", "order_ap_crit", "r_max", "t_max"
     model.dump_json({**report, "per_config": None}, path, "per_config",
-                    [model.json_records(keys, rows, 4)])
+                    [{k: [text(c[k]) for c in entries] for k in (entries[0] if entries else ())}])

@@ -16,6 +16,10 @@ from criteval.metrics import AP_MIN_PRECISION, AP_MIN_RECALL, CurvePoint, Evalua
 from criteval.model import Dataset, Detection, Frame, ObjectState, Vec2
 from criteval.synthgen import ScenarioObject, ScenarioSpec, SplitMix64, gen_dataset
 
+# The smallest and the largest cap whose square is a positive finite float; the parabolas divide
+# by that square. Just below the first the square is 0.0, just above the second inf.
+SMALLEST_CAP, LARGEST_CAP = 1.5717277847026288e-162, 1.3407807929942596e154
+
 
 def make_state(
     object_id="a",

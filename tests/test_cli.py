@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import pickle
 import select
@@ -25,6 +26,9 @@ from helpers import (
     curve_csv_oracle,
     curve_csv_template,
     divergence_scenario,
+    make_ego,
+    make_frame,
+    make_state,
     perfect_detections,
     random_scenario_spec,
     report_json_oracle,
@@ -856,6 +860,60 @@ def test_class_of_one_results_file_alone_is_evaluated(synthetic_inputs, tmp_path
     assert (out / "sweep.csv").exists()
 
 
+_NO_GT_IN_RANGE = ("warning: class {!r} has no ground truth within {} m of the ego; recall is "
+                   "vacuous, so AP and AP_crit rank nothing\n")
+
+
+@pytest.mark.parametrize("max_range, center, warned", [
+    (50.0, (30.0, 40.0), False),  # exactly at max_range
+    (50.0, (math.nextafter(50.0, math.inf), 0.0), True),
+    (50.0, (80.0, 0.0), True),
+    (30.0, (-18.0, 24.0), False),
+    (30.0, (-18.0, math.nextafter(24.0, math.inf)), True),
+])
+def test_class_without_ground_truth_in_range_is_warned_of(tmp_path, capsys, max_range, center,
+                                                          warned):
+    """After the unknown-frame warnings, by the accumulator's own rule; outputs do not change."""
+    dataset = model.Dataset([make_frame(ego=make_ego(velocity=(1.0, 0.0)),
+                                        objects=[make_state(class_name="van", center=center)])])
+    assert metrics.CurveAccumulator(dataset, [], "van", [1.0], max_range).n_gt == (not warned)
+    dump_json(dataset_to_dict(dataset), tmp_path / "gt.json")
+    state = make_state(class_name="van", center=center)
+    dump_json(detections_to_dict([model.Detection("f9", state, 0.5)]), tmp_path / "pred.json")
+    out = tmp_path / "out"
+    assert main(["evaluate", "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "pred.json"),
+                 *_CAPS, "--class", "van", "--max-range", str(max_range), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: 1 detection frame_id(s) not present in ground truth (skipped "
+                            "during evaluation): f9\n"
+                            + (_NO_GT_IN_RANGE.format("van", f"{max_range:g}") if warned else ""))
+    if warned:  # the vacuous scores are written as before
+        assert all(f"{limit:>6g}    1.000000    1.000000\n" in captured.out
+                   for limit in distance_limits_default())
+    assert (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_of_a_class_without_ground_truth_warns_once(synthetic_inputs, tmp_path, capsys,
+                                                          monkeypatch, threads):
+    """The detector that sees nothing ranks first; the warning says that the ranking is vacuous."""
+    monkeypatch.setenv("CRIT_EVAL_THREADS", threads)
+    gt, pred = synthetic_inputs
+    doc = json.loads(pred.read_text())
+    doc["results"][next(iter(doc["results"]))][0]["class"] = "van"
+    vans = tmp_path / "vans.json"
+    vans.write_text(json.dumps(doc))
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"d_values": [20], "r_values": [20], "t_values": [4, 8]}')
+    out = tmp_path / "out"
+    assert main(["sweep", "--gt", str(gt), "--pred", f"cars={pred}", "--pred", f"vans={vans}",
+                 "--class", "van", "--grid", str(grid), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == _NO_GT_IN_RANGE.format("van", 50)
+    rows = sweep.read_sweep_csv(out / "sweep.csv")
+    assert {(row.detector, row.ap, row.ap_crit) for row in rows} == {("cars", 1.0, 1.0),
+                                                                     ("vans", 0.0, 0.0)}
+
+
 @pytest.mark.parametrize("which", ["gt", "pred", "grid"])
 def test_deeply_nested_json_exits_one_naming_the_file(synthetic_inputs, tmp_path, capsys, which):
     gt, pred = synthetic_inputs
@@ -926,6 +984,17 @@ _CAPS = ["--dmax", "20", "--rmax", "20", "--tmax", "8"]
           )],
         ("birdview", ["--frame", "f0", "--dmax", "-1", "--rmax", "20", "--tmax", "8"], None,
          "d_max must be positive and finite, got -1.0"),
+        # Caps whose square is 0.0 or inf, which the parabolas divide by.
+        ("evaluate", ["--dmax", "20", "--rmax", "1e-200", "--tmax", "8"], None,
+         "r_max must have a positive finite square, got 1e-200"),
+        ("evaluate", ["--dmax", "20", "--rmax", "20", "--tmax", "1e160"], None,
+         "t_max must have a positive finite square, got 1e+160"),
+        ("birdview", ["--frame", "f0", "--dmax", "1e-200", "--rmax", "20", "--tmax", "8"], None,
+         "d_max must have a positive finite square, got 1e-200"),
+        ("sweep", [], '{"d_values": [1e-200], "r_values": [1e-200], "t_values": [1e-200]}',
+         "$.d_values[0]: expected a value with a positive finite square, got 1e-200"),
+        ("sweep", [], '{"d_values": [10], "r_values": [20], "t_values": [4, 1e160]}',
+         "$.t_values[1]: expected a value with a positive finite square, got 1e+160"),
     ],
 )
 def test_argument_errors_come_before_any_data_file(tmp_path, capsys, monkeypatch,
@@ -983,6 +1052,10 @@ def test_birdview_out_that_is_a_directory_exits_one_before_any_data_file(tmp_pat
      "argument --config: expected a comma-separated list of numbers, got '1,x,3'"),
     (["rank", "--table", "t.csv", "--metric", "ap", "--config=-1,2,3"],
      "argument --config: d_max must be positive and finite, got -1.0"),
+    (["rank", "--table", "t.csv", "--metric", "ap", "--config", "20,1e-200,8"],
+     "argument --config: r_max must have a positive finite square, got 1e-200"),
+    (["rank", "--table", "t.csv", "--metric", "ap", "--config", "20,20,1e160"],
+     "argument --config: t_max must have a positive finite square, got 1e+160"),
 ])
 def test_usage_error_gives_the_parse_reason(capsys, args, message):
     with pytest.raises(SystemExit) as exc:

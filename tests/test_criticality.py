@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from criteval.criticality import (
 )
 from criteval.model import Vec2
 
-from helpers import make_ego, make_state
+from helpers import LARGEST_CAP, SMALLEST_CAP, make_ego, make_state
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -191,6 +192,20 @@ def test_config_validation():
         CriticalityConfig(0.0, 20.0, 8.0)
     with pytest.raises(ValueError):
         CriticalityConfig(20.0, 20.0, math.inf)
+
+
+def test_caps_whose_square_is_zero_or_inf_are_rejected():
+    for cap, beyond in ((SMALLEST_CAP, 0.0), (LARGEST_CAP, math.inf)):
+        outside = math.nextafter(cap, beyond)
+        assert 0.0 < cap * cap < math.inf and outside * outside == beyond
+        for name in ("d_max", "r_max", "t_max"):
+            caps = {"d_max": 20.0, "r_max": 20.0, "t_max": 8.0}
+            assert getattr(CriticalityConfig(**{**caps, name: cap}), name) == cap
+            message = f"{name} must have a positive finite square, got {outside}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                CriticalityConfig(**{**caps, name: outside})
+    with pytest.raises(ValueError, match=r"^d_max must be positive and finite, got 0.0$"):
+        CriticalityConfig(0.0, 20.0, 8.0)
 
 
 def test_scalar_kappa_imports_no_array_code():

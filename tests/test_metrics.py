@@ -1,6 +1,7 @@
 """Classic and weighted measures, curve construction, AP summaries."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from criteval import criticality, metrics
+from criteval import criticality, metrics, model
 from criteval.criticality import (
     CASE_MISSING_VELOCITY,
     CASE_NONFINITE_TIME,
@@ -16,6 +17,7 @@ from criteval.criticality import (
     CASE_TRACKED,
     CASE_ZERO_REL_VELOCITY,
     CriticalityConfig,
+    criticality_components,
     weights_from_class,
 )
 from criteval.metrics import (
@@ -40,6 +42,8 @@ from criteval.sweep import ConfigGrid, evaluate_sweep
 from criteval.synthgen import ErrorModel, corrupt, gen_dataset
 
 from helpers import (
+    LARGEST_CAP,
+    SMALLEST_CAP,
     WeightedCounts,
     classic_pr,
     counts_from_match,
@@ -350,6 +354,27 @@ def test_batched_kernel_matches_scalar_path(each_case, extra, d_max, r_max, t_va
                 assert batch[k].flags.c_contiguous
 
 
+def test_batched_kernel_matches_scalar_path_at_the_extreme_caps():
+    """At the smallest and the largest accepted cap, objects at distance 0 and ones whose squared
+    distances overflow get the scalar chain's kappa, which ``combine`` checks is in [0, 1]."""
+    ego = make_ego()
+    objects = [make_state(center=(0.0, 0.0), velocity=(1.0, 0.0)),  # at the ego
+               make_state(center=(0.0, 0.0), velocity=None),
+               make_state(center=(0.0, 0.0), velocity=(0.0, 0.0)),
+               make_state(center=(-1e200, 0.0), velocity=(1.0, 0.0)),  # heading straight at it
+               make_state(center=(-1e200, 1e200), velocity=(1e-300, 0.0)),
+               make_state(center=(3e200, 0.0), velocity=None)]
+    obj = [np.array(column) for column in zip(*((*s.center, *(s.velocity or (0.0, 0.0)),
+                                                 s.velocity is not None) for s in objects))]
+    terms = _ScoreTerms(*metrics.classify([np.zeros(len(objects))] * 4, obj))
+    caps = (SMALLEST_CAP, 1.0, LARGEST_CAP)
+    for d_max, r_max in itertools.product(caps, caps):
+        kappa = terms.kappa_rows(d_max, r_max, np.array(caps))
+        for t_max, row in zip(caps, kappa.tolist()):
+            cfg = CriticalityConfig(d_max, r_max, t_max)
+            assert row == [criticality_components(ego, s, cfg).kappa for s in objects]
+
+
 _UNIT = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0.1, 0.09999999999999999])
 _KEPT = st.floats(min_value=0.1, max_value=1.0)
 
@@ -551,13 +576,13 @@ def evaluation_reports(draw):
 @settings(max_examples=100, deadline=None)
 def test_writers_match_their_oracles_byte_for_byte(tmp_path_factory, report, chunk_rows):
     out = tmp_path_factory.mktemp("writers")
-    saved, metrics._CHUNK_ROWS = metrics._CHUNK_ROWS, chunk_rows
+    saved, model._CHUNK_ROWS = model._CHUNK_ROWS, chunk_rows
     try:
         write_report_json(report, out / "report.json")
         for i, res in enumerate(report.results):
             write_curve_csv(res.arrays, out / f"curve{i}.csv")
     finally:
-        metrics._CHUNK_ROWS = saved
+        model._CHUNK_ROWS = saved
     assert (out / "report.json").read_bytes() == report_json_oracle(report)
     for i, res in enumerate(report.results):
         assert (out / f"curve{i}.csv").read_bytes() == curve_csv_oracle(res.curve)
@@ -609,11 +634,11 @@ def test_report_writer_formats_runs_of_equal_values_exactly(tmp_path_factory, re
     """Each run of bit-identical values is formatted once: 0.0 next to -0.0 is two runs,
     and runs cross chunk boundaries."""
     path = tmp_path_factory.mktemp("runs") / "report.json"
-    saved, metrics._CHUNK_ROWS = metrics._CHUNK_ROWS, chunk_rows
+    saved, model._CHUNK_ROWS = model._CHUNK_ROWS, chunk_rows
     try:
         write_report_json(report, path)
     finally:
-        metrics._CHUNK_ROWS = saved
+        model._CHUNK_ROWS = saved
     assert path.read_bytes() == report_json_oracle(report)
 
 
@@ -622,7 +647,7 @@ def test_writers_match_their_oracles_on_kernel_curves(tmp_path):
     dataset = gen_dataset(random_scenario_spec(seed=21, n_frames=6))
     detections = corrupt(dataset, ErrorModel(fp_rate_per_frame=3.0), seed=22)
     name = 'c"a\\r \u00e9'
-    copies = detections * (2 * metrics._CHUNK_ROWS // len(detections) + 1)
+    copies = detections * (2 * model._CHUNK_ROWS // len(detections) + 1)
     detections += [dataclasses.replace(d, state=dataclasses.replace(d.state, class_name=name),
                                        confidence=i / len(copies))
                    for i, d in enumerate(copies)]
@@ -637,7 +662,7 @@ def test_writers_match_their_oracles_on_kernel_curves(tmp_path):
         if not dets:
             assert [res.curve for res in report.results] == [[CurvePoint(1.0, 1.0, 0.0, 1.0, 0.0)]] * 3
         elif class_name == name:
-            assert min(n_points) > metrics._CHUNK_ROWS
+            assert min(n_points) > model._CHUNK_ROWS
 
 
 def test_worker_count_env(monkeypatch):
@@ -648,6 +673,9 @@ def test_worker_count_env(monkeypatch):
         worker_count()
     monkeypatch.delenv("CRIT_EVAL_THREADS")
     assert worker_count() >= 1
+    cores = worker_count()
+    monkeypatch.setenv("CRIT_EVAL_THREADS", "")  # empty is the same as unset
+    assert worker_count() == cores
 
 
 def _unknown_ego_velocity() -> None:
@@ -820,11 +848,11 @@ def test_curve_csv_digits_equal_the_percent_template(tmp_path_factory, data, n, 
     arrays = [np.array(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
               for _ in CURVE_FIELDS]
     path = tmp_path_factory.mktemp("csv") / "curve.csv"
-    saved, metrics._CHUNK_ROWS = metrics._CHUNK_ROWS, chunk_rows
+    saved, model._CHUNK_ROWS = model._CHUNK_ROWS, chunk_rows
     try:
         write_curve_csv(arrays, path)
     finally:
-        metrics._CHUNK_ROWS = saved
+        model._CHUNK_ROWS = saved
     assert path.read_bytes() == curve_csv_template(arrays)
 
 

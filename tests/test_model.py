@@ -528,3 +528,73 @@ def test_column_loader_agrees_after_any_one_change():
 @settings(max_examples=500)
 def test_column_loader_agrees_on_mutated_documents(doc):
     assert_loaders_agree(doc)
+
+
+# Streamed records: dump_json lays a fill's rows out as json.dumps(indent=2, sort_keys=True) would.
+_RECORD_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16]),
+    st.integers(min_value=-2**70, max_value=2**70),
+    st.text(max_size=4) | st.sampled_from(['q"uote', "back\\slash", "tab\tnl\n", "é車", "\0"]),
+    st.booleans(),
+    st.none(),
+)
+_RECORD_FIELDS = st.text(max_size=4) | st.sampled_from(["p_r", "r_s", 'q"', "é", "%s", "\0"])
+
+
+def _placeholders(value, key):
+    """The dicts whose ``key`` is None, in the order json.dumps(sort_keys=True) writes them."""
+    if isinstance(value, dict):
+        for k in sorted(value):
+            if k == key and value[k] is None:
+                yield value
+            else:
+                yield from _placeholders(value[k], key)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _placeholders(item, key)
+
+
+@st.composite
+def record_documents(draw):
+    """A document with a ``"key": null`` at the top level, in a list of objects, or both,
+    and one table of (fields, rows) per placeholder, its fields in any order."""
+    key = draw(st.sampled_from(["curve", "per_config", "rows"]))
+    others = st.dictionaries(_RECORD_FIELDS.filter(lambda k: k != key), _RECORD_VALUES, max_size=3)
+    top, nested = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    doc = draw(others)
+    if top:
+        doc[key] = None
+    if nested:
+        items = [{**draw(others), key: None}, draw(others)]
+        doc[draw(st.sampled_from(["items", "results", "a"]))] = draw(st.permutations(items))
+    tables = []
+    for _ in range(top + nested):
+        fields = draw(st.lists(_RECORD_FIELDS, min_size=1, max_size=4, unique=True))
+        n = draw(st.integers(min_value=0, max_value=9))
+        tables.append((fields, draw(st.lists(st.lists(_RECORD_VALUES, min_size=len(fields),
+                                                      max_size=len(fields)),
+                                             min_size=n, max_size=n))))
+    return key, doc, tables
+
+
+@given(document=record_documents(), chunk_rows=st.integers(min_value=1, max_value=4))
+@settings(max_examples=300, deadline=None)
+def test_streamed_records_equal_json_dumps(document, chunk_rows):
+    """Rows cross chunk boundaries; a table of no rows is an empty list."""
+    key, doc, tables = document
+    fills = [{field: [json.dumps(row[i]) for row in rows] for i, field in enumerate(fields)}
+             for fields, rows in tables]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        saved, model._CHUNK_ROWS = model._CHUNK_ROWS, chunk_rows
+        try:
+            model.dump_json(doc, path, key, fills)
+        finally:
+            model._CHUNK_ROWS = saved
+        written = path.read_bytes()
+    placed = copy.deepcopy(doc)
+    slots = list(_placeholders(placed, key))
+    assert len(slots) == len(tables)
+    for slot, (fields, rows) in zip(slots, tables):
+        slot[key] = [dict(zip(fields, row)) for row in rows]
+    assert written == (json.dumps(placed, indent=2, sort_keys=True) + "\n").encode()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from criteval import sweep
+from criteval import model, sweep
 from criteval.criticality import CriticalityConfig
 from criteval.metrics import evaluate_detector
 from criteval.model import Dataset, dump_json
@@ -28,6 +28,8 @@ from criteval.sweep import (
 from criteval.synthgen import ErrorModel, corrupt, gen_dataset
 
 from helpers import (
+    LARGEST_CAP,
+    SMALLEST_CAP,
     make_ego,
     make_frame,
     make_state,
@@ -59,6 +61,25 @@ def test_grid_validation():
         ConfigGrid(d_values=(-5.0, 5.0), r_values=(5.0,), t_values=(2.0,))
     with pytest.raises(ValueError, match=r"^t_values\[1\]: .* greater than 2.0, got inf$"):
         ConfigGrid(d_values=(5.0,), r_values=(5.0,), t_values=(2.0, math.inf))
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"d_values": (1e-200, 5.0)}, "d_values[0]: expected a value with a positive finite square, "
+                                  "got 1e-200"),
+    ({"r_values": (5.0, 1e160)}, "r_values[1]: expected a value with a positive finite square, "
+                                 "got 1e+160"),
+    # Not the first t_max of a slice, which alone passes through CriticalityConfig in a sweep.
+    ({"t_values": (2.0, 4.0, math.nextafter(LARGEST_CAP, math.inf))},
+     f"t_values[2]: expected a value with a positive finite square, "
+     f"got {math.nextafter(LARGEST_CAP, math.inf)!r}"),
+])
+def test_grid_rejects_every_value_whose_square_is_zero_or_inf(values, message):
+    caps = {"d_values": (5.0,), "r_values": (5.0,), "t_values": (2.0,)}
+    with pytest.raises(ValueError) as exc:
+        ConfigGrid(**{**caps, **values})
+    assert str(exc.value) == message
+    edges = ConfigGrid((SMALLEST_CAP, 5.0), (5.0, LARGEST_CAP), (SMALLEST_CAP, LARGEST_CAP))
+    assert len(edges.configs()) == 8
 
 
 def _sweep_inputs():
@@ -235,11 +256,11 @@ def test_streamed_rankings_json_equals_dump_json(tmp_path_factory, names, limits
             for name in names for limit in limits for config in configs]
     report = rankings_report(rows, limits)
     out = tmp_path_factory.mktemp("rankings")
-    saved, sweep._RANKING_ROWS = sweep._RANKING_ROWS, chunk_rows
+    saved, model._CHUNK_ROWS = model._CHUNK_ROWS, chunk_rows
     try:
         write_rankings_json(report, out / "streamed.json")
     finally:
-        sweep._RANKING_ROWS = saved
+        model._CHUNK_ROWS = saved
     dump_json(report, out / "dumped.json")
     assert (out / "streamed.json").read_bytes() == (out / "dumped.json").read_bytes()
 
