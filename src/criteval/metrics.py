@@ -313,25 +313,25 @@ class CurveAccumulator:
         return matches
 
     def curve_arrays(
-        self, cfg: CriticalityConfig, t_values: Sequence[float] | None = None
+        self, d_max: float, r_max: float, t_values: Sequence[float]
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """(threshold, precision, recall, p_r, r_s) arrays per limit, highest threshold first.
 
-        ``p_r`` and ``r_s`` are 1-D for ``cfg``. With ``t_values`` they have
-        one row per value, for ``cfg`` with that ``t_max``: the cap-separable
-        component scores are computed once for the whole batch and every
-        limit. Every row equals the 1-row result bit for bit. All arrays are
-        read-only; the classic ones are shared.
+        ``p_r`` and ``r_s`` have one row per value of ``t_values``, for the
+        caps ``(d_max, r_max, t_max)``; one configuration is ``[t_max]``. The
+        cap-separable component scores are computed once for the whole batch
+        and every limit, and every row equals the one-row result bit for bit.
+        All arrays are read-only; the classic ones are shared.
 
         The safety-weighted recall denominator is the total ground-truth
         weight, which does not depend on the threshold, so the recall side
         is exactly nonincreasing as the threshold rises.
         """
-        t = np.array([cfg.t_max] if t_values is None else t_values, dtype=np.float64)
-        kgt = self._gt.kappa_rows(cfg.d_max, cfg.r_max, t)
+        t = np.array(t_values, dtype=np.float64)
+        kgt = self._gt.kappa_rows(d_max, r_max, t)
         # The same pairwise sum as over a 1-D array, row by row.
         total_gt = np.array([row.sum() for row in kgt])[:, None]
-        kpred = self._pred.kappa_rows(cfg.d_max, cfg.r_max, t)
+        kpred = self._pred.kappa_rows(d_max, r_max, t)
         # Prediction sums of every limit first, so kpred is freed before the ground-truth sums.
         pred_sums = [(_running_sums(kpred, tp, tp_at_cut), _running_sums(kpred, fp, fp_at_cut))
                      for tp, fp, _, tp_at_cut, fp_at_cut, _ in self._splits]
@@ -343,8 +343,6 @@ class CurveAccumulator:
             p_den += cum_tp_pred
             p_r = _ratio(cum_tp_gt, p_den)
             r_s = _ratio(cum_tp_pred, total_gt)
-            if t_values is None:
-                p_r, r_s = p_r[0], r_s[0]
             p_r.flags.writeable = r_s.flags.writeable = False
             curves.append((*classic, p_r, r_s))
         return curves
@@ -354,7 +352,8 @@ class CurveAccumulator:
         """One operating point per cut, highest threshold first, of a one-limit accumulator."""
         if len(self.dist_limits) != 1:
             raise ValueError("curve() needs an accumulator of one distance limit")
-        return _points(self.curve_arrays(cfg)[0])
+        *classic, p_r, r_s = self.curve_arrays(cfg.d_max, cfg.r_max, [cfg.t_max])[0]
+        return _points((*classic, p_r[0], r_s[0]))
 
 
 def build_curve(
@@ -528,14 +527,14 @@ def evaluate_detector(
     detections = DetectionTable.of(detections)
     acc = CurveAccumulator(dataset, detections, class_name, dist_limits, max_range)
     results = []
-    for distance_limit, arrays in zip(acc.dist_limits, acc.curve_arrays(cfg)):
-        _, precision, recall, p_r, r_s = arrays
+    curves = acc.curve_arrays(cfg.d_max, cfg.r_max, [cfg.t_max])
+    for distance_limit, (threshold, precision, recall, (p_r,), (r_s,)) in zip(acc.dist_limits, curves):
         results.append(
             LimitResult(
                 distance_limit=distance_limit,
                 ap=ap_from_arrays(ap_style, recall, precision),
                 ap_crit=ap_from_arrays(ap_style, r_s, p_r),
-                arrays=arrays,
+                arrays=(threshold, precision, recall, p_r, r_s),
                 resampled=_recall_grid(recall, precision, r_s, p_r),
             )
         )

@@ -53,10 +53,6 @@ class ConfigGrid:
     def __len__(self) -> int:
         return len(self.d_values) * len(self.r_values) * len(self.t_values)
 
-    def configs(self) -> list[CriticalityConfig]:
-        return [CriticalityConfig(d, r, t)
-                for d in self.d_values for r in self.r_values for t in self.t_values]
-
 
 def default_grid() -> ConfigGrid:
     """10 x 10 x 15 = 1500 configurations: caps at 5..50 m and 2..30 s."""
@@ -98,20 +94,18 @@ def evaluate_sweep(
     if not detections_by_detector:
         raise ValueError("at least one detector is required")
     ap_function(ap_style)  # rejects an unknown style before any work
-    # configs() varies t_max fastest, so every len(t_values)-th one starts a slice.
-    slice_heads = grid.configs()[:: len(grid.t_values)]
     rows: list[SweepRow] = []
     for name in sorted(detections_by_detector):
         acc = CurveAccumulator(dataset, detections_by_detector[name], class_name, dist_limits,
                                max_range)
         tables: dict[float, list[SweepRow]] = {limit: [] for limit in acc.dist_limits}
-        for head in slice_heads:
+        for d_max, r_max in ((d, r) for d in grid.d_values for r in grid.r_values):
             for (limit, table), (_, precision, recall, p_r, r_s) in zip(
-                    tables.items(), acc.curve_arrays(head, t_values=grid.t_values)):
+                    tables.items(), acc.curve_arrays(d_max, r_max, grid.t_values)):
                 # The classic AP is the same in every slice.
                 ap = table[0].ap if table else ap_from_arrays(ap_style, recall, precision)
                 table.extend(
-                    SweepRow(name, class_name, limit, head.d_max, head.r_max, t_max, ap, ap_crit)
+                    SweepRow(name, class_name, limit, d_max, r_max, t_max, ap, ap_crit)
                     for t_max, ap_crit in zip(grid.t_values, ap_from_arrays(ap_style, r_s, p_r))
                 )
         rows.extend(row for limit in sorted(tables) for row in tables[limit])
@@ -174,8 +168,8 @@ def _finite_cell(rec: dict[str, str], column: str, where: str, positive: bool = 
 def read_sweep_csv(path: str | Path) -> list[SweepRow]:
     """Rows of a UTF-8 sweep table.
 
-    A cap or AP cell that is not a finite number is an error, and so is a
-    limit or cap (``l``, ``d_max``, ``r_max``, ``t_max``) that is not positive.
+    A limit, cap or AP cell that is not a finite number, a limit or cap that is not
+    positive and a row's caps that ``CriticalityConfig`` rejects are errors.
     """
     rows: list[SweepRow] = []
     try:
@@ -188,6 +182,10 @@ def read_sweep_csv(path: str | Path) -> list[SweepRow]:
                 where = f"{path}:line {reader.line_num}"
                 cell = [_finite_cell(rec, c, where, positive=True) for c in SWEEP_CSV_HEADER[2:6]]
                 scores = [_finite_cell(rec, c, where) for c in SWEEP_CSV_HEADER[6:]]
+                try:
+                    CriticalityConfig(*cell[1:])
+                except ValueError as exc:
+                    raise IngestError(f"{where}: {exc}") from None
                 rows.append(SweepRow(rec["detector"], rec["class"], *cell, *scores))
     except UnicodeDecodeError as e:
         raise IngestError(f"{path}: not UTF-8 text ({e})") from None

@@ -248,6 +248,16 @@ def _run_under_ascii_locale(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([*cli, *args], env=env, capture_output=True, text=True)
 
 
+def test_importing_the_cli_loads_none_of_the_deferred_modules():
+    """``render`` defers ``xml.sax.saxutils``, which imports ``urllib.request``, and ``_fan_out``
+    defers ``select``, ``signal`` and ``traceback``: at the top they would slow every command."""
+    deferred = ("xml.sax.saxutils", "urllib.request", "select", "signal", "traceback")
+    code = f"import sys, criteval.cli; print([m for m in {deferred!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(model.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def test_sweep_writes_utf8_under_an_ascii_locale(synthetic_inputs, tmp_path):
     """``sweep.csv`` is UTF-8 whatever the locale, as ``read_sweep_csv`` reads it."""
     gt, pred = synthetic_inputs
@@ -591,17 +601,32 @@ def test_rank_duplicated_row_exits_one_naming_the_cell(tmp_path, capsys, second)
     assert "detector 'a' appears twice in the cell l=1 config 20,20,8" in capsys.readouterr().err
 
 
+def _rank_with_a_bad_cell(table: Path, column: str, cell: str, metric: str) -> int:
+    """``rank`` of a table whose line 3 holds ``cell`` in ``column``, in another cell than the one
+    selected."""
+    good = dict(zip(_RANK_HEADER.strip().split(","), "a,car,1.0,20.0,20.0,8.0,0.5,0.4".split(",")))
+    bad = dict(good, **{"t_max": "4.0", column: cell})
+    table.write_text(_RANK_HEADER + ",".join(good.values()) + "\n" + ",".join(bad.values()) + "\n")
+    return main(["rank", "--table", str(table), "--metric", metric, "--l", "1", "--config", "20,20,8"])
+
+
 @pytest.mark.parametrize("column", ["l", "d_max", "r_max", "t_max"])
 @pytest.mark.parametrize("cell", ["-20.0", "0.0"])
 def test_rank_non_positive_limit_or_cap_exits_one(tmp_path, capsys, column, cell):
-    good = dict(zip(_RANK_HEADER.strip().split(","), "a,car,1.0,20.0,20.0,8.0,0.5,0.4".split(",")))
-    bad = dict(good, **{"t_max": "4.0", column: cell})  # another cell than the one selected
     table = tmp_path / "sweep.csv"
-    table.write_text(_RANK_HEADER + ",".join(good.values()) + "\n" + ",".join(bad.values()) + "\n")
-    code = main(["rank", "--table", str(table), "--metric", "ap", "--l", "1", "--config", "20,20,8"])
-    assert code == 1
+    assert _rank_with_a_bad_cell(table, column, cell, "ap") == 1
     assert (f"{table}:line 3: column '{column}': expected a positive number, got '{cell}'"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("column", ["d_max", "r_max", "t_max"])
+@pytest.mark.parametrize("cell", ["1e-200", "1e+160"])
+def test_rank_cap_without_a_positive_finite_square_exits_one(tmp_path, capsys, column, cell):
+    """A cap in the table is held to the rule of ``rank --config``, with the line named."""
+    table = tmp_path / "sweep.csv"
+    assert _rank_with_a_bad_cell(table, column, cell, "ap_crit") == 1
+    assert capsys.readouterr().err == (
+        f"error: {table}:line 3: {column} must have a positive finite square, got {cell}\n")
 
 
 def test_rank_agrees_with_rankings_json_in_every_cell(tmp_path, capsys):

@@ -341,16 +341,17 @@ def test_batched_kernel_matches_scalar_path(each_case, extra, d_max, r_max, t_va
         seed=seed + 1,
     )
     acc = CurveAccumulator(dataset, detections, "car", [1.0, 0.5, 2.0])
-    batches = acc.curve_arrays(CriticalityConfig(d_max, r_max, t_values[0]), t_values=t_values)
+    batches = acc.curve_arrays(d_max, r_max, t_values)
     assert len(batches) == 3
     for i, t_max in enumerate(t_values):
-        one_rows = acc.curve_arrays(CriticalityConfig(d_max, r_max, t_max))
+        one_rows = acc.curve_arrays(d_max, r_max, [t_max])
         for batch, one_row in zip(batches, one_rows, strict=True):
             for k in range(3):
                 assert np.array_equal(batch[k], one_row[k])
             for k in (3, 4):
-                assert np.array_equal(batch[k][i], one_row[k])
-                assert batch[k][i].tobytes() == one_row[k].tobytes()
+                assert one_row[k].shape == (1, len(one_row[0]))
+                assert np.array_equal(batch[k][i], one_row[k][0])
+                assert batch[k][i].tobytes() == one_row[k][0].tobytes()
                 assert batch[k].flags.c_contiguous
 
 
@@ -442,10 +443,9 @@ def test_slice_with_a_zero_precision_denominator_prefix_is_vacuous_there():
     detections = [Detection("f0", objects[0], 0.9), Detection("f0", objects[1], 0.5)]
     acc = CurveAccumulator(dataset, detections, "car", [1.0])
     for t_values in ([2.0, 4.0], [2.0, 4.0, 8.0], [8.0, 2.0]):
-        head = CriticalityConfig(20.0, 5.0, t_values[0])
-        ((_, _, _, p_r, r_s),) = acc.curve_arrays(head, t_values=t_values)
+        ((_, _, _, p_r, r_s),) = acc.curve_arrays(20.0, 5.0, t_values)
         for row, t_max in enumerate(t_values):
-            ((_, _, _, p_r_one, r_s_one),) = acc.curve_arrays(dataclasses.replace(head, t_max=t_max))
+            ((_, _, _, (p_r_one,), (r_s_one,)),) = acc.curve_arrays(20.0, 5.0, [t_max])
             assert p_r[row].tobytes() == p_r_one.tobytes()
             assert r_s[row].tobytes() == r_s_one.tobytes()
             assert p_r[row][0] == 1.0  # 0 / 0 without the vacuous fill
@@ -456,7 +456,7 @@ def test_no_t_values_give_no_rows_before_and_after_a_slice():
     dataset = _two_frame_dataset()
     acc = CurveAccumulator(dataset, perfect_detections(dataset, 0.7), "car", [1.0])
     for t_values in ([], [4.0, 8.0], []):
-        ((thresholds, _, _, p_r, r_s),) = acc.curve_arrays(CFG, t_values=t_values)
+        ((thresholds, _, _, p_r, r_s),) = acc.curve_arrays(CFG.d_max, CFG.r_max, t_values)
         assert p_r.shape == r_s.shape == (len(t_values), len(thresholds))
 
 
@@ -483,6 +483,7 @@ def test_evaluate_over_limits_equals_one_call_per_limit(limits, seed, ap_style):
         assert (repr(res.ap), repr(res.ap_crit)) == (repr(one.ap), repr(one.ap_crit))
         for got, want in zip(res.arrays, one.arrays, strict=True):
             assert np.array_equal(got, want)
+            assert got.shape == (len(res.arrays[0]),) and not got.flags.writeable
         assert res.resampled == one.resampled
 
 

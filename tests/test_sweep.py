@@ -13,6 +13,7 @@ from criteval.criticality import CriticalityConfig
 from criteval.metrics import evaluate_detector
 from criteval.model import Dataset, dump_json
 from criteval.sweep import (
+    SWEEP_CSV_HEADER,
     ConfigGrid,
     SweepRow,
     default_grid,
@@ -41,10 +42,16 @@ from helpers import (
 SMALL_GRID = ConfigGrid(d_values=(10.0, 20.0), r_values=(20.0,), t_values=(4.0, 8.0))
 
 
+def _configs(grid: ConfigGrid) -> list[CriticalityConfig]:
+    """Every configuration of the grid, t_max varying fastest."""
+    return [CriticalityConfig(*caps)
+            for caps in itertools.product(grid.d_values, grid.r_values, grid.t_values)]
+
+
 def test_default_grid_shape():
     grid = default_grid()
     assert len(grid) == 1500
-    configs = grid.configs()
+    configs = _configs(grid)
     assert len(configs) == 1500
     assert CriticalityConfig(20.0, 20.0, 8.0) in configs
     assert CriticalityConfig(5.0, 5.0, 2.0) in configs
@@ -68,7 +75,7 @@ def test_grid_validation():
                                   "got 1e-200"),
     ({"r_values": (5.0, 1e160)}, "r_values[1]: expected a value with a positive finite square, "
                                  "got 1e+160"),
-    # Not the first t_max of a slice, which alone passes through CriticalityConfig in a sweep.
+    # Not the first t_max: a sweep builds no CriticalityConfig, so the grid checks every value.
     ({"t_values": (2.0, 4.0, math.nextafter(LARGEST_CAP, math.inf))},
      f"t_values[2]: expected a value with a positive finite square, "
      f"got {math.nextafter(LARGEST_CAP, math.inf)!r}"),
@@ -79,7 +86,37 @@ def test_grid_rejects_every_value_whose_square_is_zero_or_inf(values, message):
         ConfigGrid(**{**caps, **values})
     assert str(exc.value) == message
     edges = ConfigGrid((SMALLEST_CAP, 5.0), (5.0, LARGEST_CAP), (SMALLEST_CAP, LARGEST_CAP))
-    assert len(edges.configs()) == 8
+    assert len(_configs(edges)) == 8
+
+
+_EDGE_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                *(math.nextafter(cap, toward) for cap in (SMALLEST_CAP, LARGEST_CAP)
+                  for toward in (0.0, math.inf)), SMALLEST_CAP, LARGEST_CAP]
+
+
+def _rejected(build) -> bool:
+    try:
+        build()
+    except ValueError:
+        return True
+    return False
+
+
+@given(value=st.floats() | st.sampled_from(_EDGE_VALUES))
+@settings(max_examples=300, deadline=None)
+def test_grid_and_table_caps_follow_the_rule_of_criticality_config(tmp_path_factory, value):
+    """Sweeps and ``rank --table`` take a cap exactly when ``CriticalityConfig`` does."""
+    table = tmp_path_factory.mktemp("table") / "sweep.csv"
+    for position in range(3):
+        caps = [5.0, 5.0, 5.0]
+        caps[position] = value
+        expected = _rejected(lambda: CriticalityConfig(*caps))
+        assert _rejected(lambda: ConfigGrid(*((cap,) for cap in caps))) == expected
+        table.write_text(",".join(SWEEP_CSV_HEADER) + "\n"
+                         + ",".join(["a", "car", "1.0", *map(repr, caps), "0.5", "0.4"]) + "\n")
+        assert _rejected(lambda: read_sweep_csv(table)) == expected
+        if not expected:
+            assert read_sweep_csv(table)[0][3:6] == tuple(caps)
 
 
 def _sweep_inputs():
@@ -128,8 +165,8 @@ def test_sweep_ap_crit_bounded_and_unit_weight_collapses_every_config():
     rows = evaluate_sweep(dataset, detectors, SMALL_GRID, [1.0], "car")
     assert all(0.0 <= r.ap_crit <= 1.0 for r in rows)
     acc = CurveAccumulator(*without_velocities(dataset, detectors["noisy"]), "car", [1.0, 2.0])
-    for cfg in SMALL_GRID.configs():
-        for _, precision, recall, p_r, r_s in acc.curve_arrays(cfg):
+    for cfg in _configs(SMALL_GRID):
+        for _, precision, recall, (p_r,), (r_s,) in acc.curve_arrays(cfg.d_max, cfg.r_max, [cfg.t_max]):
             assert ap_from_arrays("paper", r_s, p_r) == ap_from_arrays("paper", recall, precision)
 
 
@@ -152,6 +189,34 @@ def test_sweep_detector_with_no_detections_has_rows():
             res = evaluate_detector(data, [], class_name, [1.0], cfg, ap_style).results[0]
             assert (repr(row.ap), repr(row.ap_crit)) == (repr(res.ap), repr(res.ap_crit))
             assert (row.ap, row.ap_crit) == expected
+
+
+_INCREASING_CAPS = st.lists(st.sampled_from([2.0, 5.0, 10.0, 20.0, 50.0]) | st.floats(0.5, 60.0),
+                            min_size=1, max_size=3, unique=True).map(lambda caps: tuple(sorted(caps)))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    grid=st.builds(ConfigGrid, _INCREASING_CAPS, _INCREASING_CAPS, _INCREASING_CAPS),
+    limits=st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]), min_size=1, max_size=3, unique=True),
+    ap_style=st.sampled_from(["paper", "devkit"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_sweep_cell_equals_evaluate_detector(seed, grid, limits, ap_style):
+    dataset = gen_dataset(random_scenario_spec(seed=seed, n_frames=3))
+    detectors = {
+        "ideal": perfect_detections(dataset, 0.9),
+        "noisy": corrupt(dataset, ErrorModel(miss_prob_by_distance=0.3, center_noise_sigma=0.5,
+                                             velocity_noise_sigma=0.5, fp_rate_per_frame=1.0),
+                         seed=seed + 1),
+    }
+    rows = evaluate_sweep(dataset, detectors, grid, limits, "car", ap_style=ap_style)
+    assert len(rows) == len(detectors) * len(limits) * len(grid)
+    for row in rows:
+        cfg = CriticalityConfig(row.d_max, row.r_max, row.t_max)
+        res = evaluate_detector(dataset, detectors[row.detector], "car", [row.distance_limit], cfg,
+                                ap_style).results[0]
+        assert (repr(row.ap), repr(row.ap_crit)) == (repr(res.ap), repr(res.ap_crit))
 
 
 def test_sweep_requires_a_detector():
