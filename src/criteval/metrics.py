@@ -369,10 +369,10 @@ def build_curve(
     return acc.curve(cfg)
 
 
-def _curve_arrays(curve: Sequence[CurvePoint], use_weighted: bool) -> tuple[np.ndarray, np.ndarray]:
-    r = np.array([pt.r_s if use_weighted else pt.recall for pt in curve], dtype=np.float64)
-    p = np.array([pt.p_r if use_weighted else pt.precision for pt in curve], dtype=np.float64)
-    if len(r) > 1 and np.any(np.diff(r) < 0):
+def _curve_arrays(curve: Sequence[CurvePoint], weighted: Sequence[bool]) -> tuple[np.ndarray, np.ndarray]:
+    r = np.array([[pt.r_s if w else pt.recall for pt in curve] for w in weighted], dtype=np.float64)
+    p = np.array([[pt.p_r if w else pt.precision for pt in curve] for w in weighted], dtype=np.float64)
+    if np.any(np.diff(r) < 0):
         raise ValueError("curve must be sorted by nondecreasing recall")
     return r, p
 
@@ -385,13 +385,13 @@ def average_precision(curve: Sequence[CurvePoint], use_weighted: bool = False) -
     retained point is anchored at its predecessor's recall (0 if none).
     With ``use_weighted`` the (r_s, p_r) coordinates are summarized instead.
     """
-    return ap_from_arrays("paper", *_curve_arrays(curve, use_weighted))
+    return ap_from_arrays("paper", *_curve_arrays(curve, [use_weighted]))[0]
 
 
 def devkit_average_precision(curve: Sequence[CurvePoint], use_weighted: bool = False) -> float:
     """nuScenes-devkit style AP: 101-point interpolation, floors subtracted,
     renormalized. Offered for comparability with published tables."""
-    return ap_from_arrays("devkit", *_curve_arrays(curve, use_weighted))
+    return ap_from_arrays("devkit", *_curve_arrays(curve, [use_weighted]))[0]
 
 
 # bench/check.py:218 summarizes report curves with it.
@@ -438,20 +438,17 @@ def _ap_devkit_rows(r: np.ndarray, p: np.ndarray) -> list[float]:
     return [min(1.0, mean / (1.0 - AP_MIN_PRECISION)) for mean in np.mean(prec, axis=1).tolist()]
 
 
-def ap_from_arrays(ap_style: str, r: np.ndarray, p: np.ndarray) -> float | list[float]:
-    """Array fast path; assumes ``r`` is nondecreasing. ``(rows, cuts)`` arrays give a list of
-    each row's AP; a 1-D curve is a one-row batch and gives its AP."""
-    if ap_style not in AP_STYLES:
-        raise ValueError(f"ap_style must be one of {AP_STYLES}, got {ap_style!r}")
-    kernel = _ap_paper_rows if ap_style == "paper" else _ap_devkit_rows
-    aps = kernel(np.atleast_2d(r), np.atleast_2d(p))
-    return aps if np.ndim(r) == 2 else aps[0]
+def ap_from_arrays(ap_style: str, r: np.ndarray, p: np.ndarray) -> list[float]:
+    """The AP of each row of ``(rows, cuts)`` arrays; assumes each row of ``r`` is nondecreasing."""
+    ap_function(ap_style)  # rejects an unknown style
+    if np.ndim(r) != 2 or np.shape(r) != np.shape(p):
+        raise ValueError(f"r and p must share a (rows, cuts) shape, got {np.shape(r)}, {np.shape(p)}")
+    return (_ap_paper_rows if ap_style == "paper" else _ap_devkit_rows)(r, p)
 
 
-def _recall_grid(recall: np.ndarray, precision: np.ndarray, r_s: np.ndarray,
-                 p_r: np.ndarray) -> dict[str, Any]:
-    on_grid = _on_grid(np.stack((recall, r_s)), np.stack((precision, p_r))).tolist()
-    return {"step": 0.01, "grid": _RECALL_GRID.tolist(), "precision": on_grid[0], "p_r": on_grid[1]}
+def _recall_grid(r: np.ndarray, p: np.ndarray) -> dict[str, Any]:
+    precision, p_r = _on_grid(r, p).tolist()  # r holds (recall, r_s), p (precision, p_r)
+    return {"step": 0.01, "grid": _RECALL_GRID.tolist(), "precision": precision, "p_r": p_r}
 
 
 # bench/check.py:227 checks curve_recall_grid against it.
@@ -461,7 +458,7 @@ def resample_curve(curve: Sequence[CurvePoint]) -> dict[str, Any]:
     Interpolates precision over recall and weighted precision over
     weighted recall; beyond the achieved recall the value is 0.
     """
-    return _recall_grid(*_curve_arrays(curve, False), *_curve_arrays(curve, True))
+    return _recall_grid(*_curve_arrays(curve, [False, True]))
 
 
 @dataclass(frozen=True)
@@ -529,13 +526,13 @@ def evaluate_detector(
     results = []
     curves = acc.curve_arrays(cfg.d_max, cfg.r_max, [cfg.t_max])
     for distance_limit, (threshold, precision, recall, (p_r,), (r_s,)) in zip(acc.dist_limits, curves):
+        r, p = np.stack((recall, r_s)), np.stack((precision, p_r))
         results.append(
             LimitResult(
-                distance_limit=distance_limit,
-                ap=ap_from_arrays(ap_style, recall, precision),
-                ap_crit=ap_from_arrays(ap_style, r_s, p_r),
+                distance_limit,
+                *ap_from_arrays(ap_style, r, p),  # ap, ap_crit
                 arrays=(threshold, precision, recall, p_r, r_s),
-                resampled=_recall_grid(recall, precision, r_s, p_r),
+                resampled=_recall_grid(r, p),
             )
         )
     return EvaluationReport(

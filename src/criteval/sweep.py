@@ -103,7 +103,7 @@ def evaluate_sweep(
             for (limit, table), (_, precision, recall, p_r, r_s) in zip(
                     tables.items(), acc.curve_arrays(d_max, r_max, grid.t_values)):
                 # The classic AP is the same in every slice.
-                ap = table[0].ap if table else ap_from_arrays(ap_style, recall, precision)
+                ap = table[0].ap if table else ap_from_arrays(ap_style, recall[None], precision[None])[0]
                 table.extend(
                     SweepRow(name, class_name, limit, d_max, r_max, t_max, ap, ap_crit)
                     for t_max, ap_crit in zip(grid.t_values, ap_from_arrays(ap_style, r_s, p_r))
@@ -160,16 +160,17 @@ def _finite_cell(rec: dict[str, str], column: str, where: str, positive: bool = 
         value = math.nan
     if not math.isfinite(value):
         raise IngestError(f"{where}: column '{column}': expected a finite number, got {text!r}")
-    if positive and value <= 0:
-        raise IngestError(f"{where}: column '{column}': expected a positive number, got {text!r}")
+    if not (value > 0 if positive else 0.0 <= value <= 1.0):
+        expected = "a positive number" if positive else "a score in [0, 1]"
+        raise IngestError(f"{where}: column '{column}': expected {expected}, got {text!r}")
     return value
 
 
 def read_sweep_csv(path: str | Path) -> list[SweepRow]:
     """Rows of a UTF-8 sweep table.
 
-    A limit, cap or AP cell that is not a finite number, a limit or cap that is not
-    positive and a row's caps that ``CriticalityConfig`` rejects are errors.
+    A cell that is not a finite number, a limit or cap that is not positive, an AP outside
+    [0, 1], caps that ``CriticalityConfig`` rejects and a second class are errors.
     """
     rows: list[SweepRow] = []
     try:
@@ -186,6 +187,9 @@ def read_sweep_csv(path: str | Path) -> list[SweepRow]:
                     CriticalityConfig(*cell[1:])
                 except ValueError as exc:
                     raise IngestError(f"{where}: {exc}") from None
+                if rows and rec["class"] != rows[0].class_name:
+                    raise IngestError(f"{where}: column 'class': expected {rows[0].class_name!r}, "
+                                      f"the class of the rows before, got {rec['class']!r}")
                 rows.append(SweepRow(rec["detector"], rec["class"], *cell, *scores))
     except UnicodeDecodeError as e:
         raise IngestError(f"{path}: not UTF-8 text ({e})") from None

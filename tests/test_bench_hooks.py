@@ -2,10 +2,14 @@
 
 ``bench/spans.py`` wraps functions by name at run time. A rename in
 ``src/`` would drop a hook (or an attribute it measures) silently and zero a
-per-layer benchmark metric, so the hooks are checked here.
+per-layer benchmark metric, so the hooks are checked here. The
+``bench/<file>:<line>`` comments in ``src/`` that map what ``bench/`` pins
+are checked against the lines they cite.
 """
 
+import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -18,7 +22,10 @@ from criteval.synthgen import gen_dataset
 from helpers import perfect_detections, random_scenario_spec
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+SRC = Path(metrics.__file__).parent
 CFG = CriticalityConfig(20.0, 20.0, 8.0)
+_CITATION = re.compile(r"bench/(\w+\.py):(\d+(?:-\d+)?(?:,\d+(?:-\d+)?)*)")
+_NAME = re.compile(r"[A-Za-z_]\w*")
 
 
 def test_every_benchmark_hook_resolves_and_measures(monkeypatch):
@@ -121,3 +128,53 @@ def test_evaluate_outputs_stay_in_the_write_layer(monkeypatch, tmp_path):
     written = sorted(out.iterdir())
     assert len(written) == 1 + len(limits)
     assert layers["write.mb"] == sum(path.stat().st_size for path in written) / 1e6
+
+
+def _src_names() -> set[str]:
+    """The names of the functions, methods and classes of ``src/``."""
+    return {node.name for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def _bench_citations():
+    """``(place, bench file, cited line numbers, names)`` for each citation in a ``src/`` comment.
+
+    A comment of its own lines cites for the definition below it (past any
+    decorators); an end-of-line comment for the parameter or name its line
+    starts with. The names are that defined name and the compound ``src/``
+    names (with an underscore or a capital, unlike the words of the prose) that
+    the comment mentions.
+    """
+    defined = _src_names()
+    for path in sorted(SRC.glob("*.py")):
+        lines = path.read_text().splitlines()
+        for i, line in enumerate(lines):
+            code, _, comment = line.partition("#")
+            for match in _CITATION.finditer(comment):
+                if code.strip():
+                    block, annotated = comment, code
+                else:
+                    end = next(j for j in range(i, len(lines)) if not lines[j].lstrip().startswith("#"))
+                    block = " ".join(lines[i:end])
+                    annotated = next(text for text in lines[end:] if not text.lstrip().startswith("@"))
+                own = re.match(r"\s*(?:(?:def|class)\s+)?(\w+)", annotated).group(1)
+                numbers = []
+                for part in match.group(2).split(","):
+                    first, _, last = part.partition("-")
+                    numbers.extend(range(int(first), int(last or first) + 1))
+                yield (f"{path.name}:{i + 1}", match.group(1), numbers,
+                       {own} | {name for name in _NAME.findall(block) if name in defined
+                                and (name.lower() != name or "_" in name.strip("_"))})
+
+
+def test_every_bench_citation_in_src_rests_on_the_line_it_cites():
+    """Each cited ``bench/`` line uses a name the citing comment gives or the commented code
+    defines, so the map of what ``bench/`` pins cannot go stale when either side moves."""
+    citations = list(_bench_citations())
+    assert len(citations) == 9  # one per pin; a benchmark change that frees a pin removes its line
+    for place, bench_file, numbers, names in citations:
+        bench_lines = (SPANS.parent / bench_file).read_text().splitlines()
+        for number in numbers:
+            assert number <= len(bench_lines), f"{place}: bench/{bench_file} has no line {number}"
+            used = set(_NAME.findall(bench_lines[number - 1]))
+            assert used & names, f"{place}: bench/{bench_file}:{number} uses none of {sorted(names)}"

@@ -589,7 +589,6 @@ def test_rank_table_without_rows_exits_one(tmp_path, capsys, extra):
     [
         "a,car,1.0,20.0,20.0,8.0,0.5,0.4",  # the same row twice
         "a,car,1.0,20.0,20.0,8.0,0.6,0.4",  # two values for one detector
-        "a,truck,1.0,20.0,20.0,8.0,0.5,0.4",  # a table that mixes classes
     ],
 )
 def test_rank_duplicated_row_exits_one_naming_the_cell(tmp_path, capsys, second):
@@ -617,6 +616,49 @@ def test_rank_non_positive_limit_or_cap_exits_one(tmp_path, capsys, column, cell
     assert _rank_with_a_bad_cell(table, column, cell, "ap") == 1
     assert (f"{table}:line 3: column '{column}': expected a positive number, got '{cell}'"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("column", ["ap", "ap_crit"])
+@pytest.mark.parametrize("cell", ["5.0", "-3.0", "1.0000000000000002", "-5e-324"])
+def test_rank_score_outside_zero_one_exits_one(tmp_path, capsys, column, cell):
+    """No evaluation gives a score outside [0, 1], so a table that holds one is not a sweep's."""
+    table = tmp_path / "sweep.csv"
+    assert _rank_with_a_bad_cell(table, column, cell, "ap_crit") == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {table}:line 3: column '{column}': expected a score in [0, 1], got '{cell}'\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("cell", ["0.0", "-0.0", "1.0", "1"])
+def test_rank_scores_at_the_ends_of_zero_one_are_ranked(tmp_path, capsys, cell):
+    table = tmp_path / "sweep.csv"
+    table.write_text(_RANK_HEADER + f"a,car,1.0,20.0,20.0,8.0,{cell},{cell}\n"
+                     "b,car,1.0,20.0,20.0,8.0,0.5,0.5\n")
+    assert main(["rank", "--table", str(table), "--metric", "ap"]) == 0
+    assert f"a  {float(cell):.6f}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rows, line", [
+    # a and b are cars and c a van, all in one cell
+    (["a,car,1.0,20.0,20.0,8.0,0.5,0.4", "b,car,1.0,20.0,20.0,8.0,0.7,0.3",
+      "c,van,1.0,20.0,20.0,8.0,0.9,0.9"], 4),
+    # the van in a cell of its own
+    (["a,car,1.0,20.0,20.0,8.0,0.5,0.4", "c,van,2.0,20.0,20.0,8.0,0.9,0.9"], 3),
+    # a second row for a, as a truck
+    (["b,car,1.0,20.0,20.0,8.0,0.7,0.3", "a,car,1.0,20.0,20.0,8.0,0.5,0.4",
+      "a,truck,1.0,20.0,20.0,8.0,0.5,0.4"], 4),
+])
+def test_rank_table_of_more_than_one_class_exits_one(tmp_path, capsys, rows, line):
+    """Detectors of one class are ranked together; a table that mixes classes is not a sweep's."""
+    table = tmp_path / "sweep.csv"
+    table.write_text(_RANK_HEADER + "\n".join(rows) + "\n")
+    assert main(["rank", "--table", str(table), "--metric", "ap"]) == 1
+    other = rows[line - 2].split(",")[1]
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {table}:line {line}: column 'class': expected 'car', "
+                            f"the class of the rows before, got '{other}'\n")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("column", ["d_max", "r_max", "t_max"])

@@ -414,8 +414,9 @@ def test_batched_ap_equals_the_per_row_call(batch, ap_style):
     p = np.array([p for _, p in pairs], dtype=np.float64).reshape(rows, cuts)
     expected = [repr(_AP_ORACLES[ap_style](r[i], p[i])) for i in range(rows)]
     batched = ap_from_arrays(ap_style, r, p)
-    one_row = [ap_from_arrays(ap_style, r[i].copy(), p[i].copy()) for i in range(rows)]
-    for aps in (batched, one_row):
+    one_row = [ap_from_arrays(ap_style, r[i:i + 1].copy(), p[i:i + 1].copy()) for i in range(rows)]
+    assert all(isinstance(aps, list) and len(aps) == 1 for aps in one_row)
+    for aps in (batched, [aps[0] for aps in one_row]):
         assert isinstance(aps, list) and all(type(ap) is float for ap in aps)
         assert list(map(repr, aps)) == expected
 
@@ -690,6 +691,13 @@ def _unknown_ego_velocity() -> None:
      "curve() needs an accumulator of one distance limit"),
     (lambda: ap_from_arrays("coco", np.zeros(1), np.ones(1)),
      "ap_style must be one of ('paper', 'devkit'), got 'coco'"),
+    # A single curve is a one-row batch, not a 1-D array.
+    (lambda: ap_from_arrays("paper", np.zeros(3), np.ones(3)),
+     "r and p must share a (rows, cuts) shape, got (3,), (3,)"),
+    (lambda: ap_from_arrays("devkit", np.zeros((2, 3)), np.ones((2, 4))),
+     "r and p must share a (rows, cuts) shape, got (2, 3), (2, 4)"),
+    (lambda: ap_from_arrays("paper", np.zeros((1, 3)), np.ones((1, 1, 3))),
+     "r and p must share a (rows, cuts) shape, got (1, 3), (1, 1, 3)"),
 ])
 def test_guards_against_inputs_built_in_code(call, message):
     with pytest.raises(ValueError) as caught:

@@ -166,8 +166,9 @@ def test_sweep_ap_crit_bounded_and_unit_weight_collapses_every_config():
     assert all(0.0 <= r.ap_crit <= 1.0 for r in rows)
     acc = CurveAccumulator(*without_velocities(dataset, detectors["noisy"]), "car", [1.0, 2.0])
     for cfg in _configs(SMALL_GRID):
-        for _, precision, recall, (p_r,), (r_s,) in acc.curve_arrays(cfg.d_max, cfg.r_max, [cfg.t_max]):
-            assert ap_from_arrays("paper", r_s, p_r) == ap_from_arrays("paper", recall, precision)
+        for _, precision, recall, p_r, r_s in acc.curve_arrays(cfg.d_max, cfg.r_max, [cfg.t_max]):
+            assert ap_from_arrays("paper", r_s, p_r) == ap_from_arrays("paper", recall[None],
+                                                                       precision[None])
 
 
 def test_sweep_detector_with_no_detections_has_rows():
@@ -217,6 +218,8 @@ def test_every_sweep_cell_equals_evaluate_detector(seed, grid, limits, ap_style)
         res = evaluate_detector(dataset, detectors[row.detector], "car", [row.distance_limit], cfg,
                                 ap_style).results[0]
         assert (repr(row.ap), repr(row.ap_crit)) == (repr(res.ap), repr(res.ap_crit))
+        # What rank --table accepts: every score a sweep writes lies in [0, 1].
+        assert 0.0 <= row.ap <= 1.0 and 0.0 <= row.ap_crit <= 1.0
 
 
 def test_sweep_requires_a_detector():
