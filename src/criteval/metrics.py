@@ -356,19 +356,6 @@ class CurveAccumulator:
         return _points((*classic, p_r[0], r_s[0]))
 
 
-def build_curve(
-    dataset: Dataset,
-    detections: Iterable[Detection],
-    class_name: str,
-    distance_limit: float,
-    cfg: CriticalityConfig,
-    max_range: float = DEFAULT_EVAL_RANGE,
-) -> list[CurvePoint]:
-    """Operating points over the distinct confidences present in the detections."""
-    acc = CurveAccumulator(dataset, detections, class_name, [distance_limit], max_range)
-    return acc.curve(cfg)
-
-
 def _curve_arrays(curve: Sequence[CurvePoint], weighted: Sequence[bool]) -> tuple[np.ndarray, np.ndarray]:
     r = np.array([[pt.r_s if w else pt.recall for pt in curve] for w in weighted], dtype=np.float64)
     p = np.array([[pt.p_r if w else pt.precision for pt in curve] for w in weighted], dtype=np.float64)

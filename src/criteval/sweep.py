@@ -167,14 +167,14 @@ def _finite_cell(rec: dict[str, str], column: str, where: str, positive: bool = 
 
 
 def read_sweep_csv(path: str | Path) -> list[SweepRow]:
-    """Rows of a UTF-8 sweep table.
+    """Rows of a UTF-8 sweep table; undecodable bytes are read as ``write_sweep_csv`` writes them.
 
     A cell that is not a finite number, a limit or cap that is not positive, an AP outside
     [0, 1], caps that ``CriticalityConfig`` rejects and a second class are errors.
     """
     rows: list[SweepRow] = []
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as f:
             reader = csv.DictReader(f)
             missing = set(SWEEP_CSV_HEADER) - set(reader.fieldnames or [])
             if missing:
@@ -191,8 +191,6 @@ def read_sweep_csv(path: str | Path) -> list[SweepRow]:
                     raise IngestError(f"{where}: column 'class': expected {rows[0].class_name!r}, "
                                       f"the class of the rows before, got {rec['class']!r}")
                 rows.append(SweepRow(rec["detector"], rec["class"], *cell, *scores))
-    except UnicodeDecodeError as e:
-        raise IngestError(f"{path}: not UTF-8 text ({e})") from None
     except csv.Error as e:
         raise IngestError(f"{path}: malformed CSV ({e})") from None
     return rows

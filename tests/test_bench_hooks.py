@@ -49,7 +49,7 @@ def test_every_benchmark_hook_resolves_and_measures(monkeypatch):
     with tracer.installed():
         assert tracer.missing == []
         metrics.evaluate_detector(dataset, detections, "car", [0.5, 1.0], CFG)
-        metrics.build_curve(dataset, detections, "car", 1.0, CFG)
+        metrics.CurveAccumulator(dataset, detections, "car", [1.0]).curve(CFG)
     assert tracer.missing == []
     assert metrics.CurveAccumulator.__init__ is accumulator_init
 

@@ -11,11 +11,15 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from criteval import metrics, model, sweep, synthgen
+from criteval import cli, metrics, model, sweep, synthgen
 from criteval.cli import main
 from criteval.criticality import CriticalityConfig
 from criteval.matching import distance_limits_default
@@ -960,6 +964,55 @@ def test_class_without_ground_truth_in_range_is_warned_of(tmp_path, capsys, max_
     assert (out / "report.json").exists()
 
 
+_COORD = st.floats(min_value=-1e4, max_value=1e4)
+# Directions from the ego: a center on the range boundary lies max_range along one of them.
+_DIRECTIONS = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (-0.8, -0.6)]
+
+
+@st.composite
+def _vans_near_the_range(draw):
+    """Frames of van centers on the range boundary, one ulp past it, or anywhere near it."""
+    max_range = draw(st.floats(min_value=0.5, max_value=100.0))
+    frames = []
+    for k in range(draw(st.integers(min_value=1, max_value=3))):
+        ex, ey = draw(_COORD), draw(_COORD)
+        centers = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            dx, dy = draw(st.sampled_from(_DIRECTIONS))
+            where = draw(st.sampled_from(["on", "past", "any"]))
+            if where == "any":
+                span = st.floats(min_value=-2 * max_range, max_value=2 * max_range)
+                centers.append((ex + draw(span), ey + draw(span)))
+                continue
+            x, y = ex + dx * max_range, ey + dy * max_range
+            if where == "past":  # each moved coordinate one ulp further from the ego
+                x, y = (math.nextafter(c, math.copysign(math.inf, d)) if d else c
+                        for c, d in ((x, dx), (y, dy)))
+            centers.append((x, y))
+        objects = [make_state(f"v{j}", "van", c) for j, c in enumerate(centers)]
+        objects.append(make_state("c", "car", (ex, ey)))  # in range, but of another class
+        frames.append(make_frame(f"f{k}", ego=make_ego(center=(ex, ey), velocity=(1.0, 0.0)),
+                                 objects=objects))
+    return model.Dataset(frames), max_range
+
+
+@given(case=_vans_near_the_range())
+@example(case=(model.Dataset([make_frame(ego=make_ego(velocity=(1.0, 0.0)), objects=[
+    make_state(class_name="van", center=(30.0, 40.0))])]), 50.0))
+@example(case=(model.Dataset([make_frame(ego=make_ego(velocity=(1.0, 0.0)), objects=[
+    make_state(class_name="van", center=(-18.0, math.nextafter(24.0, math.inf)))])]), 30.0))
+@settings(max_examples=200, deadline=None)
+def test_out_of_range_warning_follows_the_accumulators_range_rule(case):
+    """The warning's range rule (``math.dist``) and the accumulator's (``hypot``) agree."""
+    dataset, max_range = case
+    stderr = StringIO()
+    with redirect_stderr(stderr):
+        cli._load_results(dataset, {}, "van", max_range, 1)
+    warned = stderr.getvalue() == _NO_GT_IN_RANGE.format("van", f"{max_range:g}")
+    assert warned or stderr.getvalue() == ""
+    assert warned == (metrics.CurveAccumulator(dataset, [], "van", [1.0], max_range).n_gt == 0)
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_sweep_of_a_class_without_ground_truth_warns_once(synthetic_inputs, tmp_path, capsys,
                                                           monkeypatch, threads):
@@ -1007,7 +1060,8 @@ def test_undecodable_results_file_exits_one_naming_it(synthetic_inputs, tmp_path
 
 
 @pytest.mark.parametrize("content, message", [
-    (b"detector,class,\xff,d_max,r_max,t_max,ap,ap_crit\n", f"not UTF-8 text ({UNDECODABLE})"),
+    # Read as write_sweep_csv writes a name's undecodable bytes, a header byte 0xff names no column.
+    (b"detector,class,\xff,d_max,r_max,t_max,ap,ap_crit\n", "missing sweep columns ['l']"),
     (b"detector,class,l,d_max,r_max,t_max,ap,ap_crit\n" + b"a" * 200_000 + b",car,1,2,2,2,0,0\n",
      "malformed CSV (field larger than field limit (131072))"),
 ])
@@ -1016,6 +1070,27 @@ def test_rank_unreadable_table_exits_one_naming_it(tmp_path, capsys, content, me
     table.write_bytes(content)
     assert main(["rank", "--table", str(table), "--metric", "ap"]) == 1
     assert capsys.readouterr().err == f"error: {table}: {message}\n"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_then_rank_round_trips_an_undecodable_name(synthetic_inputs, tmp_path, capsys,
+                                                         monkeypatch, threads):
+    """``sweep.csv`` keeps the bytes of a name that is not UTF-8, and ``rank`` reads them back."""
+    monkeypatch.setenv("CRIT_EVAL_THREADS", threads)
+    gt, pred = synthetic_inputs
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"d_values": [10], "r_values": [20], "t_values": [8]}')
+    out = tmp_path / "out"
+    name = "d\udcff"  # the byte 0xff of argv, as Python decodes it
+    assert main(["sweep", "--gt", str(gt), "--pred", f"{name}={pred}", "--pred", f"e={pred}",
+                 "--grid", str(grid), "--dist-limits", "1", "--out", str(out)]) == 0
+    assert b"\r\nd\xff,car,1.0,10.0,20.0,8.0," in (out / "sweep.csv").read_bytes()
+    assert [row.detector for row in sweep.read_sweep_csv(out / "sweep.csv")] == [name, "e"]
+    capsys.readouterr()
+    assert main(["rank", "--table", str(out / "sweep.csv"), "--metric", "ap"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "1. d\\udcff  1.000000\n" in captured.out and "2. e  1.000000\n" in captured.out
 
 
 def _read_no_data(*_args, **_kwargs):

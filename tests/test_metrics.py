@@ -29,7 +29,6 @@ from criteval.metrics import (
     _ScoreTerms,
     ap_from_arrays,
     average_precision,
-    build_curve,
     devkit_average_precision,
     evaluate_detector,
     resample_curve,
@@ -192,7 +191,7 @@ def _two_frame_dataset():
 
 def test_perfect_detector_single_point_all_ones():
     dataset = _two_frame_dataset()
-    curve = build_curve(dataset, perfect_detections(dataset, 1.0), "car", 0.5, CFG)
+    curve = CurveAccumulator(dataset, perfect_detections(dataset, 1.0), "car", [0.5]).curve(CFG)
     assert len(curve) == 1
     pt = curve[0]
     assert (pt.precision, pt.recall, pt.p_r, pt.r_s) == (1.0, 1.0, 1.0, 1.0)
@@ -202,7 +201,7 @@ def test_perfect_detector_single_point_all_ones():
 
 def test_empty_detections_give_single_vacuous_point():
     dataset = _two_frame_dataset()
-    curve = build_curve(dataset, [], "car", 0.5, CFG)
+    curve = CurveAccumulator(dataset, [], "car", [0.5]).curve(CFG)
     assert curve == [CurvePoint(1.0, 1.0, 0.0, 1.0, 0.0)]
     assert average_precision(curve) == 0.0
 
@@ -213,7 +212,7 @@ def test_missed_critical_object_hurts_weighted_recall_more():
         d for d in perfect_detections(dataset, 0.9)
         if not (d.state.center.y in (10.0, 9.0) and d.state.center.x == 0.0)
     ]
-    curve = build_curve(dataset, detections, "car", 0.5, CFG)
+    curve = CurveAccumulator(dataset, detections, "car", [0.5]).curve(CFG)
     for pt in curve:
         assert pt.r_s < pt.recall
 
@@ -223,7 +222,7 @@ def test_curve_thresholds_are_distinct_confidences_descending():
     dets = perfect_detections(dataset, 0.9)
     dets[0] = dataclasses.replace(dets[0], confidence=0.4)
     dets[1] = dataclasses.replace(dets[1], confidence=0.7)
-    curve = build_curve(dataset, dets, "car", 0.5, CFG)
+    curve = CurveAccumulator(dataset, dets, "car", [0.5]).curve(CFG)
     thresholds = [pt.threshold for pt in curve]
     assert thresholds == sorted({d.confidence for d in dets}, reverse=True)
     recalls = [pt.recall for pt in curve]
@@ -240,7 +239,7 @@ def test_weighted_recall_never_increases_with_threshold():
                    fp_rate_per_frame=1.0),
         seed=99,
     )
-    curve = build_curve(dataset, detections, "car", 2.0, CFG)
+    curve = CurveAccumulator(dataset, detections, "car", [2.0]).curve(CFG)
     r_s = [pt.r_s for pt in curve]  # emitted highest threshold first
     assert all(a <= b + 1e-15 for a, b in zip(r_s, r_s[1:]))
     assert r_s == sorted(r_s)
@@ -269,7 +268,7 @@ def test_curve_matches_per_threshold_rematch_oracle():
         seed=12,
     )
     limit = 2.0
-    curve = build_curve(dataset, detections, "car", limit, CFG)
+    curve = CurveAccumulator(dataset, detections, "car", [limit]).curve(CFG)
     for pt in curve:
         per_frame = []
         for frame in dataset.frames:
@@ -297,7 +296,7 @@ def test_unit_weight_injection_reduces_to_classic():
                        velocity_noise_sigma=0.4, fp_rate_per_frame=1.0),
             seed=seed + 100,
         )
-        curve = build_curve(*without_velocities(dataset, detections), "car", 1.0, CFG)
+        curve = CurveAccumulator(*without_velocities(dataset, detections), "car", [1.0]).curve(CFG)
         for pt in curve:
             assert (pt.p_r, pt.r_s) == (pt.precision, pt.recall)
         assert average_precision(curve, True) == average_precision(curve, False)
@@ -488,6 +487,28 @@ def test_evaluate_over_limits_equals_one_call_per_limit(limits, seed, ap_style):
         assert res.resampled == one.resampled
 
 
+@pytest.mark.parametrize("ap_style", metrics.AP_STYLES)
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_evaluate_detector_gives_the_ap_of_each_limits_point_curve(ap_style, seed):
+    """``evaluate_detector(..., ap_style=s)`` scores each limit as the style's AP of its curve."""
+    dataset = gen_dataset(random_scenario_spec(seed=seed, n_frames=8))
+    detections = corrupt(
+        dataset,
+        ErrorModel(miss_prob_by_distance=[(20.0, 0.1), (50.0, 0.4)], center_noise_sigma=0.3,
+                   velocity_noise_sigma=0.5, fp_rate_per_frame=1.5),
+        seed=seed + 100,
+    )
+    summarize = average_precision if ap_style == "paper" else devkit_average_precision
+    limits = [0.5, 1.0, 2.0, 4.0]
+    results = evaluate_detector(dataset, detections, "car", limits, CFG, ap_style=ap_style).results
+    assert [res.distance_limit for res in results] == limits
+    for limit, res in zip(limits, results):
+        curve = CurveAccumulator(dataset, detections, "car", [limit]).curve(CFG)
+        assert len(curve) > 1 and 0.0 < res.ap_crit < 1.0
+        assert (repr(res.ap), repr(res.ap_crit)) == (repr(summarize(curve)),
+                                                     repr(summarize(curve, use_weighted=True)))
+
+
 def test_each_object_is_classified_once_whatever_the_limits(monkeypatch):
     dataset = gen_dataset(random_scenario_spec(seed=5, n_frames=8))
     detections = corrupt(dataset, ErrorModel(center_noise_sigma=0.5, fp_rate_per_frame=2.0),
@@ -523,7 +544,7 @@ def test_each_object_is_classified_once_whatever_the_limits(monkeypatch):
 @settings(max_examples=100, deadline=None)
 def test_resample_curve_grid(series):
     dataset = _two_frame_dataset()
-    curve = build_curve(dataset, perfect_detections(dataset, 1.0), "car", 0.5, CFG)
+    curve = CurveAccumulator(dataset, perfect_detections(dataset, 1.0), "car", [0.5]).curve(CFG)
     grid = resample_curve(curve)
     assert len(grid["grid"]) == 101
     assert grid["precision"][0] == 1.0

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from criteval import model
 from criteval.criticality import CriticalityConfig
-from criteval.metrics import CurveAccumulator, build_curve
+from criteval.metrics import CurveAccumulator
 from criteval.model import (
     Dataset,
     Detection,
@@ -297,10 +297,9 @@ def test_altitude_component_is_ignored(tmp_path):
         }
     }
     cfg = CriticalityConfig(20.0, 20.0, 8.0)
-    curves = [
-        build_curve(dataset_from_dict(d), detections_from_dict(det_doc), "car", 2.0, cfg)
-        for d in (doc, perturbed)
-    ]
+    detections = detections_from_dict(det_doc)
+    curves = [CurveAccumulator(dataset_from_dict(d), detections, "car", [2.0]).curve(cfg)
+              for d in (doc, perturbed)]
     assert curves[0] == curves[1]
 
 

@@ -1,12 +1,19 @@
-"""The README walkthrough runs as written: its command lines, then its library code."""
+"""The README runs as written: the walkthrough's command lines and library code, and the
+synthetic experiment's commands."""
 
+import ast
+import hashlib
 import re
 import shlex
+import shutil
 from pathlib import Path
 
+import criteval
 from criteval.cli import main
+from test_acceptance import TABLE2_RANKINGS_SHA256, TABLE2_SWEEP_CSV_SHA256
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 
 
 def _section(title: str) -> str:
@@ -40,4 +47,34 @@ def test_readme_walkthrough_runs(tmp_path, monkeypatch, capsys):
     for code in library:
         exec(code, namespace)
     assert 0.0 <= namespace["ap_crit"] <= 1.0
+    assert namespace["own_ap"] == 0.69
     assert Path("out/curve_car_l0.5.csv").exists()
+
+
+def test_library_example_imports_exactly_the_package_root():
+    """The package root holds the names of the Library example, and no others."""
+    (example, _) = _blocks(_section("Library"), "python")
+    imported = [alias.name for node in ast.walk(ast.parse(example))
+                if isinstance(node, ast.ImportFrom) and node.module == "criteval"
+                for alias in node.names]
+    assert sorted(imported) == sorted(criteval.__all__)
+    assert len(imported) == len(set(imported))
+
+
+def test_synthetic_experiment_runs_as_written(tmp_path, monkeypatch, capsys):
+    """The commands give the outputs that ``test_acceptance`` pins and print the cell shown."""
+    text = _section("Reproducing the paper's experiment (synthetic)")
+    (shell,) = _blocks(text, "bash")
+    (printed,) = _blocks(text, "text")
+    commands = shell.replace("\\\n", " ").splitlines()
+    assert [c.split()[1] for c in commands] == ["generate", "sweep", "rank"]
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(ROOT / "tests" / "data", "tests/data")
+    for command in commands:
+        capsys.readouterr()
+        assert main(shlex.split(command)[1:]) == 0, command
+    assert capsys.readouterr().out == printed
+    assert hashlib.sha256(Path("table2/out/sweep.csv").read_bytes()).hexdigest() == (
+        TABLE2_SWEEP_CSV_SHA256)
+    assert hashlib.sha256(Path("table2/out/rankings.json").read_bytes()).hexdigest() == (
+        TABLE2_RANKINGS_SHA256)

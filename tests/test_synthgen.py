@@ -8,7 +8,7 @@ import pytest
 
 from criteval.cli import main
 from criteval.criticality import CriticalityConfig, criticality_components
-from criteval.metrics import build_curve
+from criteval.metrics import CurveAccumulator
 from criteval.model import (
     Vec2,
     dataset_from_dict,
@@ -151,14 +151,14 @@ def test_zero_error_model_gives_perfect_detector():
     # Detections identical to ground truth but with sampled confidences:
     # weighted precision is 1 at every threshold, recall side reaches 1.
     detections = corrupt(dataset, ErrorModel(), seed=1)
-    curve = build_curve(dataset, detections, "car", 0.5, cfg)
+    curve = CurveAccumulator(dataset, detections, "car", [0.5]).curve(cfg)
     assert all(pt.p_r == 1.0 and pt.precision == 1.0 for pt in curve)
     last = curve[-1]
     assert (last.recall, last.r_s) == (1.0, 1.0)
     # With a constant unit confidence the curve collapses to one perfect point.
     sure = corrupt(dataset, ErrorModel(confidence_model={
         "true": {"mean": 1.0, "std": 0.0}, "false": {"mean": 0.3, "std": 0.1}}), seed=1)
-    assert build_curve(dataset, sure, "car", 0.5, cfg) == [
+    assert CurveAccumulator(dataset, sure, "car", [0.5]).curve(cfg) == [
         type(curve[0])(1.0, 1.0, 1.0, 1.0, 1.0)
     ]
 
@@ -189,7 +189,7 @@ def test_targeted_miss_of_high_weight_objects_lowers_weighted_recall():
             continue
         detections.append(det)
     assert dropped > 0
-    curve = build_curve(dataset, detections, "car", 1.0, cfg)
+    curve = CurveAccumulator(dataset, detections, "car", [1.0]).curve(cfg)
     for pt in curve:
         assert pt.r_s < pt.recall
 
