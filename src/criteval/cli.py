@@ -10,11 +10,13 @@ import os
 import pickle
 import sys
 from pathlib import Path
-from typing import Any, Callable, Collection, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Collection, Mapping, Sequence
 
-from . import metrics, model, render, sweep, synthgen
+from . import render
 from .criticality import CriticalityConfig
-from .matching import distance_limits_default
+from .matching import AP_STYLES, DEFAULT_EVAL_RANGE, distance_limits_default
+if TYPE_CHECKING:  # each command imports the numpy-bearing modules it uses as it starts
+    from . import model, sweep
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -54,6 +56,7 @@ def _out_dir(text: str) -> Path:
 
 def _load_grid(spec: str) -> sweep.ConfigGrid:
     """The default grid, or one read from a JSON file; errors name the JSON path."""
+    from . import model, sweep
     if spec == "default":
         return sweep.default_grid()
     data = model.read_json(spec)
@@ -75,6 +78,7 @@ def _load_results(dataset: model.Dataset, paths: Mapping[str, str], class_name: 
     order, each unknown-frame warning and the first load error, after ``detector {name!r}: `` for a
     named file. A class that no input has (a vacuous 1.0) is rejected; one with no ground truth
     within ``max_range`` of its frame's ego, which ranks nothing either, is warned of."""
+    from . import model
     def load(name: str) -> model.DetectionTable | str:
         try:
             return model.load_detections(paths[name])
@@ -118,6 +122,7 @@ def _curve_files(class_name: str, limits: Sequence[float]) -> dict[float, str]:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import metrics, model
     out = _out_dir(args.out)
     cfg = CriticalityConfig(args.dmax, args.rmax, args.tmax)
     # The curve files and the header take the class as typed: an ASCII locale writes back its bytes.
@@ -195,6 +200,7 @@ def _fan_out(fn: Callable[[str], Any], names: Collection[str], workers: int) -> 
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from . import metrics, model, sweep
     out = _out_dir(args.out)
     workers = metrics.worker_count()
     grid = _load_grid(args.grid)
@@ -225,6 +231,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
+    from . import sweep
     by_limit: dict[float, dict[tuple[float, ...], dict[str, sweep.SweepRow]]] = {}
     for (limit, *config), cell in sweep.ranking_cells(sweep.read_sweep_csv(args.table)).items():
         by_limit.setdefault(limit, {})[tuple(config)] = cell
@@ -255,6 +262,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from . import model, synthgen
     out = _out_dir(args.out)
     data = model.read_json(args.spec)
     root = "$.scenario" if isinstance(data, dict) and "scenario" in data else "$"
@@ -291,6 +299,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_birdview(args: argparse.Namespace) -> int:
+    from . import model
     cfg = CriticalityConfig(args.dmax, args.rmax, args.tmax)
     out = Path(args.out)
     folder = _out_dir(str(out.parent))
@@ -317,8 +326,8 @@ def _add_common_eval_args(parser: argparse.ArgumentParser) -> None:
         default=distance_limits_default(),
         help="comma-separated matching distance limits in meters (default 0.5,1,2,4)",
     )
-    parser.add_argument("--ap-style", choices=list(metrics.AP_STYLES), default="paper")
-    parser.add_argument("--max-range", type=float, default=metrics.DEFAULT_EVAL_RANGE,
+    parser.add_argument("--ap-style", choices=list(AP_STYLES), default="paper")
+    parser.add_argument("--max-range", type=float, default=DEFAULT_EVAL_RANGE,
                         help="evaluation range around ego in meters (default 50)")
 
 
@@ -380,13 +389,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)  # --help and a usage error exit here, before numpy loads
+    if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"  # criteval makes no BLAS call: its threads would spin
+        import numpy  # noqa: F401  OpenBLAS reads the variable only here, as numpy loads,
+        del os.environ["OPENBLAS_NUM_THREADS"]  # so the caller's environment is put back at once
     enabled = gc.isenabled()
     gc.disable()  # commands build only acyclic containers, which reference counting frees
     try:
         return args.fn(args)
-    except (model.IngestError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # model.IngestError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

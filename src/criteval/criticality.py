@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .model import ObjectState
+if TYPE_CHECKING:  # model loads numpy, which annotations alone do not need
+    from .model import ObjectState
 
 CASE_MISSING_VELOCITY = 0
 CASE_ZERO_REL_VELOCITY = 1

@@ -18,6 +18,9 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Sequence
 
+DEFAULT_EVAL_RANGE = 50.0
+AP_STYLES = ("paper", "devkit")
+
 
 def distance_limits_default() -> list[float]:
     """Default center-distance limits (meters) used for evaluation."""

@@ -29,14 +29,12 @@ from .criticality import (
     NONFINITE_TIME_SCORE,
     CriticalityConfig,
 )
-from .matching import greedy_assign
+from .matching import AP_STYLES, DEFAULT_EVAL_RANGE, greedy_assign
 from . import model
 from .model import Dataset, Detection, DetectionTable, ingest_summary
 
-DEFAULT_EVAL_RANGE = 50.0
 AP_MIN_RECALL = 0.1
 AP_MIN_PRECISION = 0.1
-AP_STYLES = ("paper", "devkit")
 # Recall values 0, 0.01, ..., 1: devkit AP's interpolation points and the report's recall grid.
 _RECALL_GRID = np.linspace(0.0, 1.0, 101)
 

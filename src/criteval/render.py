@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .criticality import CriticalityConfig, criticality_components
-from .model import Detection, Frame, ObjectState
+if TYPE_CHECKING:  # model loads numpy, which annotations alone do not need
+    from .model import Detection, Frame, ObjectState
 
 WEIGHT_NAMES = ("kappa", "kappa_d", "kappa_r", "kappa_t")
 

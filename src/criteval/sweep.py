@@ -10,8 +10,8 @@ entirely since it never depends on the weights.
 
 Rankings have one path: ``ranking_cells`` indexes a table by
 (l, d_max, r_max, t_max) cell and detector, and ``rank`` orders one cell's
-detectors by descending metric, ties broken by ascending name. Both
-``rankings_report`` (``rankings.json``) and ``criteval rank`` use them.
+detectors by descending metric, ties broken by the other metric, then by name.
+Both ``rankings_report`` (``rankings.json``) and ``criteval rank`` use them.
 """
 
 from __future__ import annotations
@@ -128,10 +128,11 @@ def ranking_cells(rows: Iterable[SweepRow]) -> dict[CellKey, dict[str, SweepRow]
 
 
 def rank(cell: Mapping[str, SweepRow], metric: str) -> list[str]:
-    """The detectors of one cell by descending metric; ties broken by ascending name."""
+    """The detectors of one cell by descending metric, then by the other metric, then by name."""
     if metric not in ("ap", "ap_crit"):
         raise ValueError(f"metric must be 'ap' or 'ap_crit', got {metric!r}")
-    return sorted(cell, key=lambda name: (-getattr(cell[name], metric), name))
+    other = "ap_crit" if metric == "ap" else "ap"
+    return sorted(cell, key=lambda name: (-getattr(cell[name], metric), -getattr(cell[name], other), name))
 
 
 def ranking_diff(order_a: Sequence[str], order_b: Sequence[str]) -> tuple[int, int]:

@@ -386,7 +386,7 @@ def test_nuscenes_published_table_reproduction():
 # SHA-256 of the outputs of the sweep below. Swaps depend on the spec's seed: with
 # the profiles fixed, both assertions held for 6 of the seeds 0-9 (see CHANGES.md).
 TABLE2_SWEEP_CSV_SHA256 = "44be93d44b3e24591a36a254d58496fc936f97e5e9b25d57a922fdaf8008ebc6"
-TABLE2_RANKINGS_SHA256 = "bada6757a673113bd1155f1ebe5cfaa103cd7a44790f3f72189c5d560f5ee94d"
+TABLE2_RANKINGS_SHA256 = "8f6c279c0822c99dba3494beef2971e03dac5adcb76b78732b3492ff261537a4"
 
 
 def test_synthetic_table2_rankings_diverge(tmp_path):
@@ -417,3 +417,30 @@ def test_synthetic_table2_rankings_diverge(tmp_path):
     elapsed = time.monotonic() - started
     _passed(f"synthetic Table 2 ({len(swaps)} swapped pair(s) at l=0.5, caps (20, 20, 8); "
             f"{elapsed:.1f}s)")
+
+
+def test_synthetic_table2_tie_at_seed_0_moves_nothing(tmp_path, capsys):
+    """At spec seed 0, two detectors share the devkit AP_crit at l=0.5, caps (20, 20, 8), and no
+    pair has the lower AP and the higher AP_crit: the tie is broken by AP, so both orders agree
+    and neither output counts a move there."""
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert main(["generate", "--spec", str(DATA / "table2_synthetic_spec.json"), "--seed", "0",
+                 "--out", str(data)]) == 0
+    preds = [f"--pred={p}" for p in sorted(data.glob("*.json")) if p.name != "gt.json"]
+    (tmp_path / "grid.json").write_text('{"d_values": [20], "r_values": [20], "t_values": [8]}')
+    assert main(["sweep", "--gt", str(data / "gt.json"), *preds, "--grid", str(tmp_path / "grid.json"),
+                 "--dist-limits", "0.5", "--ap-style", "devkit", "--out", str(out)]) == 0
+    cell = ranking_cells(read_sweep_csv(out / "sweep.csv"))[(0.5, 20.0, 20.0, 8.0)]
+    assert cell["lidar_balanced"].ap_crit == cell["lidar_velocity_noisy"].ap_crit
+    assert cell["lidar_balanced"].ap != cell["lidar_velocity_noisy"].ap
+    assert not any(cell[a].ap < cell[b].ap and cell[a].ap_crit > cell[b].ap_crit
+                   for a in cell for b in cell)
+    (entry,) = json.loads((out / "rankings.json").read_text())["per_config"]
+    assert entry["order_ap"] == entry["order_ap_crit"]
+    assert (entry["n_moved"], entry["max_displacement"]) == (0, 0)
+    capsys.readouterr()
+    assert main(["rank", "--table", str(out / "sweep.csv"), "--metric", "ap_crit"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines[1:-1]] == entry["order_ap_crit"]
+    assert lines[-1] == "  vs ap: n_moved=0 max_displacement=0"
+    _passed("synthetic Table 2 at seed 0: an exact AP_crit tie moves no detector")

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from criteval import cli, metrics, model, sweep, synthgen
+from criteval import cli, criticality, matching, metrics, model, sweep, synthgen
 from criteval.cli import main
 from criteval.criticality import CriticalityConfig
 from criteval.matching import distance_limits_default
@@ -252,14 +252,91 @@ def _run_under_ascii_locale(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([*cli, *args], env=env, capture_output=True, text=True)
 
 
+def _in_fresh_interpreter(code: str, **env: str) -> subprocess.CompletedProcess:
+    """``code`` run by a new Python process that imports criteval from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(model.__file__).parents[1]), **env}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
 def test_importing_the_cli_loads_none_of_the_deferred_modules():
     """``render`` defers ``xml.sax.saxutils``, which imports ``urllib.request``, and ``_fan_out``
-    defers ``select``, ``signal`` and ``traceback``: at the top they would slow every command."""
-    deferred = ("xml.sax.saxutils", "urllib.request", "select", "signal", "traceback")
-    code = f"import sys, criteval.cli; print([m for m in {deferred!r} if m in sys.modules])"
-    env = {**os.environ, "PYTHONPATH": str(Path(model.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    defers ``select``, ``signal`` and ``traceback``: at the top they would slow every command.
+    The package root, the CLI module and argument parsing load no numpy and no module that
+    imports it; a command imports those as it starts."""
+    deferred = ("xml.sax.saxutils", "urllib.request", "select", "signal", "traceback", "numpy",
+                "criteval.metrics", "criteval.model", "criteval.sweep", "criteval.synthgen")
+    parse = ("import contextlib, io\nfrom criteval.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+             "    try:\n        main({argv!r})\n    except SystemExit as exc:\n        status = exc.code\n"
+             "print(status)\n")
+    cases = {
+        "import criteval": "",
+        "import criteval.cli": "",
+        "from criteval import CriticalityConfig, criticality_components": "",
+        **{parse.format(argv=[cmd, "--help"]): "0\n"
+           for cmd in ("evaluate", "sweep", "rank", "generate", "birdview")},
+        parse.format(argv=["--help"]): "0\n",
+        parse.format(argv=["sweep", "--gt", "gt.json"]): "2\n",  # a usage error: no --pred, --out
+    }
+    for code, printed in cases.items():
+        done = _in_fresh_interpreter(
+            code + f"\nimport sys; print([m for m in {deferred!r} if m in sys.modules])")
+        assert (done.returncode, done.stdout, done.stderr) == (0, printed + "[]\n", ""), code
+
+
+@pytest.mark.parametrize("command", ["criteval", "evaluate", "sweep", "rank", "generate", "birdview"])
+def test_help_text_is_unchanged(command, monkeypatch, capsys):
+    """The help of each parser, as the parser read it when ``metrics`` defined its defaults:
+    the ``--ap-style`` and ``--weight`` choices and the ``--max-range`` and ``--dist-limits``
+    defaults among them."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"] if command == "criteval" else [command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == (DATA / "cli_help" / f"{command}.txt").read_text()
+
+
+def test_the_parsers_defaults_have_one_definition():
+    """``metrics`` takes the parser's AP styles and range from their numpy-free home."""
+    assert metrics.AP_STYLES is matching.AP_STYLES == ("paper", "devkit")
+    assert metrics.DEFAULT_EVAL_RANGE is matching.DEFAULT_EVAL_RANGE == 50.0
+    assert (cli.AP_STYLES, cli.DEFAULT_EVAL_RANGE) == (matching.AP_STYLES, matching.DEFAULT_EVAL_RANGE)
+
+
+def test_package_root_resolves_and_lists_its_names():
+    import criteval
+
+    homes = [criticality, criticality, metrics, model, model]
+    assert [getattr(criteval, name) for name in criteval.__all__] == [
+        getattr(home, name) for home, name in zip(homes, criteval.__all__)]
+    with pytest.raises(AttributeError, match="^module 'criteval' has no attribute 'nothing'$"):
+        criteval.nothing
+    # The submodules that an eager root used to load stay attributes of a bare ``import criteval``.
+    done = _in_fresh_interpreter("import criteval\nprint(criteval.matching.__name__, "
+                                 "criteval.metrics.evaluate_detector is criteval.evaluate_detector, "
+                                 "criteval.model.__name__, hasattr(criteval, 'sweep'))")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "criteval.matching True criteval.model False\n", "")
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+def test_commands_load_numpy_without_blas_threads(synthetic_inputs, tmp_path, monkeypatch):
+    """criteval makes no BLAS call, so ``main`` keeps OpenBLAS to the calling thread and then puts
+    the environment back; a value the user set is kept, and a caller that has loaded numpy
+    already is left as it is."""
+    gt, pred = synthetic_inputs
+    argv = ["evaluate", "--gt", str(gt), "--pred", str(pred), "--dmax", "20", "--rmax", "20",
+            "--tmax", "8", "--out", str(tmp_path / "out")]
+    code = ("import contextlib, io, os\nfrom criteval.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    code = main({argv!r})\n"
+            "print(code, os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    done = _in_fresh_interpreter(code)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 None 1\n", "")
+    done = _in_fresh_interpreter(code, OPENBLAS_NUM_THREADS="2")
+    assert (done.returncode, done.stdout.split()[:2], done.stderr) == (0, ["0", "2"], "")
+    assert main(argv) == 0  # in this process numpy is loaded already
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_sweep_writes_utf8_under_an_ascii_locale(synthetic_inputs, tmp_path):

@@ -277,6 +277,29 @@ def test_ranking_diff_examples():
         ranking_diff(["A", "B"], ["A", "C"])
 
 
+def test_a_tie_is_broken_by_the_other_metric_so_it_moves_no_detector():
+    """B has the higher AP and the same AP_crit as A: both orders put B first, so no pair moves."""
+    cell = _cell({"B": (0.9, 0.5), "A": (0.8, 0.5)})
+    assert (rank(cell, "ap"), rank(cell, "ap_crit")) == (["B", "A"], ["B", "A"])
+    cell = _cell({"B": (0.9, 0.4), "A": (0.8, 0.5), "C": (0.8, 0.5)})
+    assert (rank(cell, "ap"), rank(cell, "ap_crit")) == (["B", "A", "C"], ["A", "C", "B"])
+    assert ranking_diff(rank(cell, "ap"), rank(cell, "ap_crit")) == (3, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from("ABCDEF"),
+                       st.tuples(*[st.sampled_from([0.0, 0.25, 0.5, 1.0])] * 2), min_size=1))
+def test_n_moved_is_zero_iff_no_pair_strictly_disagrees(scores):
+    cell = _cell(scores)
+    disagree = any((a.ap - b.ap) * (a.ap_crit - b.ap_crit) < 0
+                   for a in cell.values() for b in cell.values())
+    (entry,) = rankings_report(list(cell.values()), [1.0])["per_config"]
+    assert (entry["n_moved"] == 0) == (not disagree)
+    assert (entry["order_ap"], entry["order_ap_crit"]) == (rank(cell, "ap"), rank(cell, "ap_crit"))
+    assert (entry["n_moved"], entry["max_displacement"]) == ranking_diff(
+        entry["order_ap"], entry["order_ap_crit"])
+
+
 def test_sweep_csv_round_trip(tmp_path):
     dataset, detectors = _sweep_inputs()
     rows = evaluate_sweep(dataset, detectors, SMALL_GRID, [1.0], "car")
