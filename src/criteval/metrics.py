@@ -568,22 +568,7 @@ def write_curve_csv(arrays: Sequence[np.ndarray], path: str | Path) -> None:
             f.write(_csv_rows(np.column_stack([a[start:start + model._CHUNK_ROWS] for a in arrays])))
 
 
-def _reprs(values: np.ndarray) -> np.ndarray:
-    """``repr`` of each value, as an object array; called once per run of bit-identical values."""
-    bits = values.view(np.int64)  # unlike ==, tells 0.0 from -0.0
-    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1]))[:len(bits)])
-    texts = np.array(list(map(repr, values[starts].tolist())), dtype=object)
-    return np.repeat(texts, np.diff(starts, append=len(bits)))
-
-
 def write_report_json(report: EvaluationReport, path: str | Path) -> None:
-    """``model.dump_json(report.to_dict(), path)`` byte for byte, curves streamed.
-
-    Curve values are finite, so their ``repr`` is what ``json`` writes. The
-    limits of a report share one threshold array, whose text is built once.
-    """
-    arrays = {id(res.arrays[0]): res.arrays[0] for res in report.results}
-    thresholds = {key: _reprs(values) for key, values in arrays.items()}
-    fills = (dict(zip(CURVE_FIELDS, [thresholds[id(res.arrays[0])], *map(_reprs, res.arrays[1:])]))
-             for res in report.results)
-    model.dump_json(report._as_dict([None] * len(report.results)), path, "curve", fills)
+    """``model.dump_json(report.to_dict(), path)`` byte for byte; the limits share one threshold."""
+    model.dump_json(report._as_dict([None] * len(report.results)), path, "curve",
+                    (dict(zip(CURVE_FIELDS, res.arrays)) for res in report.results))

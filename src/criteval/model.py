@@ -459,37 +459,58 @@ def detections_to_dict(detections: Iterable[Detection]) -> dict[str, Any]:
 _CHUNK_ROWS = 1024  # rows that a streamed writer formats at a time
 
 
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each value, as an object array; called once per run of bit-identical values."""
+    bits = values.view(np.int64)  # unlike ==, tells 0.0 from -0.0
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1]))[:len(bits)])
+    texts = np.array(list(map(repr, values[starts].tolist())), dtype=object)
+    return np.repeat(texts, np.diff(starts, append=len(bits)))
+
+
 def dump_json(data: Any, path: str | Path, key: str | None = None,
-              fills: Iterable[Mapping[str, Sequence[str]]] = ()) -> None:
+              fills: Iterable[Mapping[str, Sequence[Any]]] = ()) -> None:
     """Write ``json.dump(data, indent=2, sort_keys=True)``'s text and a newline.
 
     With ``key``, the n-th ``"key": null`` is written as a list of flat objects,
     ``_CHUNK_ROWS`` at a time: the n-th fill maps each field to its column of
-    value texts, and the i-th object holds each column's i-th text. Only such a
-    value is an unquoted ``"key": null``, as ``json`` escapes ``"`` in strings.
+    values, and the i-th object holds each column's i-th value. A column is a float64
+    array of finite values, whose ``repr`` is their JSON text, or a list of JSON values.
+    Each run of bit-identical floats, each distinct ``repr`` in a fill's lists and each float
+    column that the next fill holds again is formatted once. Only such a value is an
+    unquoted ``"key": null``, as ``json`` escapes ``"`` in strings.
     """
     with open(path, "w") as f:
         if key is None:
             json.dump(data, f, indent=2, sort_keys=True)
         else:
             parts = json.dumps(data, indent=2, sort_keys=True).split(f'"{key}": null')
-            fills = iter(fills)
+            fills, done = iter(fills), {}
             f.write(parts[0])
             for before, rest in zip(parts, parts[1:]):
                 fill = next(fills)
                 # The objects sit two spaces deeper than "key"; NUL is in no JSON text.
                 pad, names = "\n" + " " * (len(before) - before.rfind("\n") + 1), sorted(fill)
+                columns, texts = [fill[k] for k in names], {}
+                # Float columns: formatted whole, once while fills hold them in turn, in fill order
+                # (widest first), stale texts dropped first; an entry holds its column to keep its id.
+                done = {id(c): done[id(c)] for c in columns if id(c) in done}
+                for array in (c for c in fill.values() if isinstance(c, np.ndarray)):
+                    done[id(array)] = done.get(id(array)) or (array, _reprs(array))
                 fields = "\0,".join(f"{pad}  {json.dumps(k)}: " for k in names)
                 pieces = np.array(f",{pad}{{{fields}\0{pad}}}".split("\0"), dtype=object)[:, None]
-                n = min(map(len, fill.values()), default=0)
+                n = min(map(len, columns), default=0)
                 f.write(f'"{key}": [')
-                for start in range(0, n, _CHUNK_ROWS):
-                    rows = [fill[k][start:start + _CHUNK_ROWS] for k in names]
+                for part in (slice(start, start + _CHUNK_ROWS) for start in range(0, n, _CHUNK_ROWS)):
+                    # A list is formatted by chunk, each distinct value once, indented to its field.
+                    rows = [done[id(c)][1][part] if isinstance(c, np.ndarray) else [
+                        texts.get(r := repr(v)) or texts.setdefault(r, json.dumps(
+                            v, indent=2, sort_keys=True).replace("\n", pad + "  ")) for v in c[part]]
+                        for c in columns]
                     block = np.empty((len(pieces) + len(rows), len(rows[0])), dtype=object)
                     block[0::2], block[1::2] = pieces, rows
-                    f.write("".join(block.T.ravel().tolist())[0 if start else 1:])  # no first comma
+                    f.write("".join(block.T.ravel().tolist())[0 if part.start else 1:])  # no first comma
                 f.write(f"{pad[:-2] if n else ''}]{rest}")
-                fill = rows = None  # let go before the next fill is built
+                fill = columns = rows = texts = None  # let go before the next fill is built
         f.write("\n")
 
 

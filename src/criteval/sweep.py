@@ -17,7 +17,6 @@ Both ``rankings_report`` (``rankings.json``) and ``criteval rank`` use them.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -229,12 +228,6 @@ def rankings_report(rows: Sequence[SweepRow], dist_limits: Sequence[float]) -> d
 
 def write_rankings_json(report: Mapping[str, Any], path: str | Path) -> None:
     """``model.dump_json(report, path)`` byte for byte for a ``rankings_report``, streamed."""
-    texts: dict[str, str] = {}  # by repr: each distinct value is encoded once, its text shared
-
-    def text(value: Any) -> str:  # a detector order's names sit 8 spaces deep
-        return texts.get(key := repr(value)) or texts.setdefault(
-            key, json.dumps(value, indent=2).replace("\n", "\n      "))
-
     entries = report["per_config"]
     model.dump_json({**report, "per_config": None}, path, "per_config",
-                    [{k: [text(c[k]) for c in entries] for k in (entries[0] if entries else ())}])
+                    [{k: [c[k] for c in entries] for k in (entries[0] if entries else ())}])

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior."""
 
+import ast
 import gc
 import hashlib
 import json
@@ -282,6 +283,20 @@ def test_importing_the_cli_loads_none_of_the_deferred_modules():
         done = _in_fresh_interpreter(
             code + f"\nimport sys; print([m for m in {deferred!r} if m in sys.modules])")
         assert (done.returncode, done.stdout, done.stderr) == (0, printed + "[]\n", ""), code
+
+
+def test_only_model_imports_json():
+    """``model.dump_json`` alone turns values into JSON text, and ``model.read_json`` alone parses
+    it: no other module of the package imports ``json``, so no writer builds text of its own."""
+    importers = set()
+    for path in Path(model.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "json" for name in names):
+                importers.add(path.name)
+    assert importers == {"model.py"}
+    assert not hasattr(metrics, "_reprs")
 
 
 @pytest.mark.parametrize("command", ["criteval", "evaluate", "sweep", "rank", "generate", "birdview"])

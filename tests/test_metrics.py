@@ -665,6 +665,24 @@ def test_report_writer_formats_runs_of_equal_values_exactly(tmp_path_factory, re
     assert path.read_bytes() == report_json_oracle(report)
 
 
+def test_report_writer_formats_each_kernel_column_once(tmp_path, monkeypatch):
+    """The run formatter is called once for the threshold array that all four limits share,
+    and once for each other column of each limit."""
+    dataset = gen_dataset(random_scenario_spec(seed=21, n_frames=6))
+    detections = corrupt(dataset, ErrorModel(fp_rate_per_frame=3.0), seed=22)
+    report = evaluate_detector(dataset, detections, "car", [0.5, 1.0, 2.0, 4.0], CFG)
+    threshold = report.results[0].arrays[0]
+    assert all(res.arrays[0] is threshold for res in report.results)
+    formatted, reprs = [], model._reprs
+    monkeypatch.setattr(model, "_reprs", lambda values: formatted.append(values) or reprs(values))
+    write_report_json(report, tmp_path / "report.json")
+    assert sum(values is threshold for values in formatted) == 1
+    others = [values for res in report.results for values in res.arrays[1:]]
+    assert len(formatted) == 1 + len(others) == 17
+    assert all(sum(values is column for values in formatted) == 1 for column in others)
+    assert (tmp_path / "report.json").read_bytes() == report_json_oracle(report)
+
+
 def test_writers_match_their_oracles_on_kernel_curves(tmp_path):
     """Vacuous one-point curves and curves longer than one write chunk, from the kernel."""
     dataset = gen_dataset(random_scenario_spec(seed=21, n_frames=6))

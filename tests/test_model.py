@@ -538,6 +538,23 @@ _RECORD_VALUES = st.one_of(
     st.none(),
 )
 _RECORD_FIELDS = st.text(max_size=4) | st.sampled_from(["p_r", "r_s", 'q"', "é", "%s", "\0"])
+# Lists and objects nest to any depth, so their lines are indented at every depth.
+_NESTED_VALUES = st.recursive(
+    _RECORD_VALUES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_RECORD_FIELDS, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def record_columns(draw, n):
+    """A column of ``n`` values: a list of JSON values, or a float64 array made of runs of one
+    repeated value each, ``0.0`` next to ``-0.0`` among them."""
+    if draw(st.booleans()):
+        return draw(st.lists(_NESTED_VALUES, min_size=n, max_size=n))
+    run_of = np.cumsum(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=np.intp)
+    values = st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False, allow_infinity=False)
+    return np.array(draw(st.lists(values, min_size=n + 1, max_size=n + 1)))[run_of]
 
 
 def _placeholders(value, key):
@@ -556,7 +573,7 @@ def _placeholders(value, key):
 @st.composite
 def record_documents(draw):
     """A document with a ``"key": null`` at the top level, in a list of objects, or both,
-    and one table of (fields, rows) per placeholder, its fields in any order."""
+    and one table of (fields, columns) per placeholder, its fields in any order."""
     key = draw(st.sampled_from(["curve", "per_config", "rows"]))
     others = st.dictionaries(_RECORD_FIELDS.filter(lambda k: k != key), _RECORD_VALUES, max_size=3)
     top, nested = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
@@ -569,10 +586,13 @@ def record_documents(draw):
     tables = []
     for _ in range(top + nested):
         fields = draw(st.lists(_RECORD_FIELDS, min_size=1, max_size=4, unique=True))
-        n = draw(st.integers(min_value=0, max_value=9))
-        tables.append((fields, draw(st.lists(st.lists(_RECORD_VALUES, min_size=len(fields),
-                                                      max_size=len(fields)),
-                                             min_size=n, max_size=n))))
+        held = [c for _, columns in tables for c in columns]
+        shared = held and draw(st.booleans())  # this fill holds a column object of the one before
+        n = len(held[0]) if shared else draw(st.integers(min_value=0, max_value=9))
+        columns = [draw(record_columns(n)) for _ in fields]
+        if shared:
+            columns[draw(st.integers(0, len(columns) - 1))] = held[draw(st.integers(0, len(held) - 1))]
+        tables.append((fields, columns))
     return key, doc, tables
 
 
@@ -581,8 +601,7 @@ def record_documents(draw):
 def test_streamed_records_equal_json_dumps(document, chunk_rows):
     """Rows cross chunk boundaries; a table of no rows is an empty list."""
     key, doc, tables = document
-    fills = [{field: [json.dumps(row[i]) for row in rows] for i, field in enumerate(fields)}
-             for fields, rows in tables]
+    fills = [dict(zip(fields, columns)) for fields, columns in tables]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "out.json"
         saved, model._CHUNK_ROWS = model._CHUNK_ROWS, chunk_rows
@@ -594,6 +613,7 @@ def test_streamed_records_equal_json_dumps(document, chunk_rows):
     placed = copy.deepcopy(doc)
     slots = list(_placeholders(placed, key))
     assert len(slots) == len(tables)
-    for slot, (fields, rows) in zip(slots, tables):
-        slot[key] = [dict(zip(fields, row)) for row in rows]
+    for slot, (fields, columns) in zip(slots, tables):
+        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        slot[key] = [dict(zip(fields, row)) for row in zip(*values)]
     assert written == (json.dumps(placed, indent=2, sort_keys=True) + "\n").encode()
